@@ -3,9 +3,13 @@ along pole-avoiding polylines, for the regular-at-z0 solution of d(S) = MS.
 
 The coefficient family solves the lower-triangular linear system
 d<S|x_i w>/dz = u_i(z) <S|w> with <S|1> = 1 and all positive-length
-coefficients vanishing at the basepoint.  The whole truncated vector is
-stepped at once with an embedded Dormand-Prince 5(4) pair; the embedded
-error estimate is accumulated per length stratum.
+coefficients vanishing at the basepoint.  Each step expands the multipliers
+in Taylor series about a centre c on the path, over a quarter of the distance
+from c to the nearest pole that carries a term, and integrates the series of
+length-l words from those of length l-1 (stratum l reads only stratum l-1).
+The series order comes from a Cauchy bound on the circle of twice the step;
+the bound on the discarded tail is summed per length stratum as the error
+estimate (in the style of Vollinga & Weinzierl, hep-ph/0410259).
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ class PathGeometryError(ValueError):
 
 
 class StepSizeUnderflowError(RuntimeError):
-    """Adaptive step shrank below representable size (pole grazing)."""
+    """Adaptive step shrank below representable size.  The series
+    propagator never raises it: its steps are sized from the pole distance,
+    which the path margin bounds below."""
 
 
 class TruncationError(ValueError):
@@ -57,8 +63,10 @@ class PathSpec:
         object.__setattr__(self, "waypoints", wp)
         if not wp:
             raise PathGeometryError("path needs at least one waypoint")
-        if self.margin <= 0:
-            raise PathGeometryError("margin must be positive")
+        if not all(np.isfinite(wp)):
+            raise PathGeometryError("waypoints must be finite")
+        if not (np.isfinite(self.margin) and self.margin > 0):
+            raise PathGeometryError("margin must be positive and finite")
         for a, b in zip(wp, wp[1:]):
             if a == b:
                 raise PathGeometryError("consecutive waypoints must be distinct")
@@ -101,8 +109,10 @@ def build_path(z0: complex, z: complex, poles, margin: float) -> PathSpec:
     """
     z0, z = complex(z0), complex(z)
     pts = [complex(p) for p in poles]
-    if margin <= 0:
-        raise PathGeometryError("margin must be positive")
+    if not (np.isfinite(z0) and np.isfinite(z)):
+        raise PathGeometryError("basepoint and endpoint must be finite")
+    if not (np.isfinite(margin) and margin > 0):
+        raise PathGeometryError("margin must be positive and finite")
     for p in pts:
         for name, e in (("basepoint", z0), ("endpoint", z)):
             if abs(e - p) <= margin:
@@ -163,70 +173,16 @@ class CoefficientTable:
         return sorted(self.values)
 
 
-# Dormand-Prince 5(4) tableau; row 7 of A is the 5th-order weight vector.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-_DP_E = _DP_B5 - _DP_B4
 _EPS = float(np.finfo(float).eps)
 
 
-class _MultiplierKernel:
-    """Flattened numeric view of a multiplier for the integrator hot loop.
-
-    Paths are pre-validated against the pole margin, so evaluation skips
-    the per-call pole-proximity guard of PoleLocalizedRational.evaluate.
-    """
-
-    def __init__(self, M: Multiplier):
-        self.n_letters = len(M.alphabet)
-        letters = []
-        poles = []
-        orders = []
-        coefs = []
-        self.polys = []
-        for letter in M.alphabet:
-            u = M.terms[letter.index]
-            for (i, k), c in u.principal.items():
-                letters.append(letter.index)
-                poles.append(M.pole_set.approx[i])
-                orders.append(k)
-                coefs.append(complex(c))
-            self.polys.append(
-                np.array([complex(c) for c in u.poly], dtype=complex)
-                if u.poly
-                else None
-            )
-        self.term_letter = np.array(letters, dtype=np.intp)
-        self.term_pole = np.array(poles, dtype=complex)
-        self.term_order = np.array(orders, dtype=np.float64)
-        self.term_coef = np.array(coefs, dtype=complex)
-        self.any_poly = any(p is not None for p in self.polys)
-
-    def values_at(self, zc: complex) -> np.ndarray:
-        out = np.zeros(self.n_letters, dtype=complex)
-        if len(self.term_letter):
-            contrib = self.term_coef * (zc - self.term_pole) ** (-self.term_order)
-            np.add.at(out, self.term_letter, contrib)
-        if self.any_poly:
-            for i, p in enumerate(self.polys):
-                if p is not None:
-                    acc = 0j
-                    for c in p[::-1]:
-                        acc = acc * zc + c
-                    out[i] += acc
-        return out
+def _shift_poly(p: list, c: complex) -> list:
+    """Coefficients of p(c + s) in powers of s (repeated synthetic division)."""
+    q = list(p)
+    for m in range(len(q) - 1):
+        for n in range(len(q) - 2, m - 1, -1):
+            q[n] += c * q[n + 1]
+    return q
 
 
 def eval_coeffs(
@@ -236,46 +192,111 @@ def eval_coeffs(
     tol: float,
     degree_cap=None,
 ) -> CoefficientTable:
-    """Integrate the truncated coefficient system along the path.
+    """Propagate the truncated coefficient system along the path by Taylor
+    series.
 
     ``tol`` is the absolute error target per coefficient over the whole
-    path (error-per-unit-step control on the embedded pair).  The optional
-    ``degree_cap`` restricts words to a multidegree box.
+    path; ``error_estimates[l]`` is the summed Cauchy bound on the series
+    tails of length-l words.  The optional ``degree_cap`` restricts words
+    to a multidegree box.
     """
     if not isinstance(N, int) or N < 0:
         raise TruncationError(f"truncation must be a nonnegative integer, got {N!r}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
     path.validate_against(M.pole_set.approx)
 
     word_list = M.alphabet.words_up_to(N, degree_cap)
     index = {w: j for j, w in enumerate(word_list)}
-    # graded lex ascending: index 0 is the empty word, strata are contiguous
-    first = np.array([w[0] for w in word_list[1:]], dtype=np.intp)
-    tail = np.array([index[Word(w[1:])] for w in word_list[1:]], dtype=np.intp)
-    bounds = []
-    for ln in range(N + 1):
-        js = [j for j, w in enumerate(word_list) if len(w) == ln]
-        bounds.append((js[0], js[-1] + 1) if js else (0, 0))
-    kernel = _MultiplierKernel(M)
+    # graded lex ascending: strata are contiguous, and so are the words of
+    # one first letter inside a stratum.  blocks[l-1] lists, per first
+    # letter of stratum l, (letter, lo, hi, tail positions in stratum l-1).
+    starts = np.searchsorted([len(w) for w in word_list], np.arange(N + 2)).tolist()
+    blocks = []
+    for ln in range(1, N + 1):
+        stratum = []
+        for i in range(len(M.alphabet)):
+            js = [j for j in range(starts[ln], starts[ln + 1]) if word_list[j][0] == i]
+            if js:
+                tails = [index[word_list[j][1:]] - starts[ln - 1] for j in js]
+                stratum.append((i, js[0], js[-1] + 1, np.array(tails, dtype=np.intp)))
+        if not stratum:
+            break
+        blocks.append(stratum)
 
+    # per letter: principal-part terms (pole, order, coefficient) and the
+    # polynomial part, as complex numbers
+    us = [M.terms[i] for i in range(len(M.alphabet))]
+    terms = [
+        [(M.pole_set.approx[i], k, complex(c)) for (i, k), c in u.principal.items()]
+        for u in us
+    ]
+    polys = [[complex(c) for c in u.poly] for u in us]
+    poles = {p for ts in terms for p, _, _ in ts}
     y = np.zeros(len(word_list), dtype=complex)
     y[0] = 1.0
     est = np.zeros(N + 1)
     total_len = path.length()
+    top = len(blocks)
 
     for a, b in path.segments():
-        seg = b - a
-        L = abs(seg)
-        dhat = seg / L
+        seg_len = abs(b - a)
+        dhat = (b - a) / seg_len
+        t = 0.0
+        while t < seg_len:
+            c = a + dhat * t
+            h = min([seg_len - t] + [abs(c - p) / 4.0 for p in poles])
+            H = dhat * h
+            r = 2.0 * h
+            # Cauchy bounds on the circle |s| = 2h: |u_i| <= U, |y_w| <= B_l
+            U = max(
+                sum(abs(coef) * (abs(c - p) - r) ** -k for p, k, coef in ts)
+                + sum(abs(q) * (abs(c) + r) ** n for n, q in enumerate(ps))
+                for ts, ps in zip(terms, polys)
+            )
+            B = [1.0]
+            for ln in range(1, top + 1):
+                lo, hi = starts[ln], starts[ln + 1]
+                B.append(float(np.abs(y[lo:hi]).max()) + r * U * B[-1])
+            # the sigma-scaled coefficients are bounded by B_l 2^-m, so K
+            # terms leave a tail of at most B_l 2^(1-K)
+            share = h / total_len
+            ratio = max(
+                (Bl / (max(tol, 4.0 * _EPS * Bl) * share) for Bl in B[1:]), default=1.0
+            )
+            K = 1 + int(np.ceil(np.log2(max(ratio, 1.0))))
+            est[1 : top + 1] += np.array(B[1:]) * 2.0 ** (1 - K)
 
-        def rhs(t, yv, out):
-            u_vals = kernel.values_at(a + dhat * t)
-            out[0] = 0.0
-            np.multiply(u_vals[first], yv[tail], out=out[1:])
-            out[1:] *= dhat
-
-        y = _integrate_segment(rhs, L, y, tol, total_len, est, bounds)
+            # u_i(c + sigma H) H = sum_m A[i, m] sigma^m
+            m = np.arange(K)
+            A = np.zeros((len(terms), K), dtype=complex)
+            for i, (ts, ps) in enumerate(zip(terms, polys)):
+                for p, k, coef in ts:
+                    d = c - p
+                    binom = np.cumprod(np.r_[1.0, (k - 1 + m[1:]) / m[1:]])
+                    A[i] += coef * d ** -k * binom * (-H / d) ** m
+                if ps:
+                    q = _shift_poly(ps, c)[:K]
+                    A[i, : len(q)] += np.array(q) * H ** m[: len(q)]
+            A *= H
+            # J[i] maps a series of <S|w> to that of <S|x_i w> - <S|x_i w>(c):
+            # the lower-Toeplitz product with A[i], integrated in sigma
+            lag = m[:, None] - 1 - m[None, :]
+            J = np.where(lag >= 0, A[:, np.maximum(lag, 0)], 0) / np.maximum(m, 1)[:, None]
+            prev = np.eye(K, 1, dtype=complex)  # the series of <S|1> = 1
+            for ln, stratum in enumerate(blocks, start=1):
+                if ln == top:
+                    for i, lo, hi, tails in stratum:
+                        y[lo:hi] += J[i].sum(axis=0) @ prev[:, tails]
+                    break
+                lo0 = starts[ln]
+                cur = np.empty((K, starts[ln + 1] - lo0), dtype=complex)
+                for i, lo, hi, tails in stratum:
+                    cur[:, lo - lo0 : hi - lo0] = J[i] @ prev[:, tails]
+                cur[0] = y[lo0 : starts[ln + 1]]
+                y[lo0 : starts[ln + 1]] = cur.sum(axis=0)
+                prev = cur
+            t = seg_len if h >= seg_len - t else t + h
 
     values = {w: complex(y[j]) for w, j in index.items()}
     values[Word()] = 1.0 + 0.0j
@@ -286,46 +307,6 @@ def eval_coeffs(
         truncation=N,
         error_estimates={ln: float(est[ln]) for ln in range(N + 1)},
     )
-
-
-def _integrate_segment(rhs, L, y, tol, total_len, est, bounds):
-    n = len(y)
-    t = 0.0
-    h = L / 8.0
-    h_floor = max(L * 1e-14, 1e-280)
-    K = np.empty((7, n), dtype=complex)
-    ys = np.empty(n, dtype=complex)
-    while t < L:
-        last = h >= L - t
-        if last:
-            h = L - t
-        rhs(t, y, K[0])
-        for s in range(1, 7):
-            np.dot(_DP_A[s], K[:s], out=ys)
-            ys *= h
-            ys += y
-            rhs(t + _DP_C[s] * h, ys, K[s])
-        err_vec = h * np.abs(_DP_E @ K)
-        err = float(err_vec.max())
-        kmax = float(np.abs(K).max())
-        # the embedded estimate cannot resolve below the roundoff of the
-        # increment itself; never reject on pure noise
-        tol_h = max(tol * h / total_len, 32.0 * _EPS * h * kmax)
-        if err <= tol_h or h <= h_floor:
-            if err > tol_h:
-                raise StepSizeUnderflowError(
-                    f"step size underflow at arclength {t:.3g} (error {err:.3g})"
-                )
-            y = y + h * (_DP_B5 @ K)
-            for ln, (lo, hi) in enumerate(bounds):
-                if hi > lo:
-                    est[ln] += err_vec[lo:hi].max()
-            t = L if last else t + h
-        factor = 0.9 * (tol_h / err) ** 0.2 if err > 0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-        if h < h_floor:
-            h = h_floor
-    return y
 
 
 def grouplike_report(T: CoefficientTable):

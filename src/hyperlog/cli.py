@@ -8,6 +8,7 @@ Exit codes: 0 success (or independent), 2 parse error, 3 path geometry,
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 
@@ -20,7 +21,6 @@ from .cert import (
 )
 from .chen import (
     PathGeometryError,
-    StepSizeUnderflowError,
     build_path,
     eval_coeffs,
     grouplike_report,
@@ -120,10 +120,16 @@ class ProblemConfig:
             self.relation_tol = float(data.get("relation_tol", 1e-8))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad scalar field: {exc}") from None
+        self.validate()
+
+    def validate(self) -> None:
+        """Check the evaluation settings; rerun after command-line overrides."""
         if self.truncation < 0:
             raise ConfigError("truncation must be >= 0")
-        if self.tol <= 0 or self.margin <= 0:
-            raise ConfigError("tol and margin must be positive")
+        for name in ("tol", "margin"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         bp = complex(self.basepoint)
         for a in self.pole_set.approx:
             if abs(bp - a) <= self.margin:
@@ -144,15 +150,13 @@ def load_config(path: str) -> ProblemConfig:
 
 
 def _parse_complex(text: str) -> complex:
-    parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        parts = [float(p) for p in text.split(",")]
     except ValueError:
-        pass
-    raise ConfigError(f"cannot parse complex number {text!r} (want RE or RE,IM)")
+        parts = []
+    if len(parts) in (1, 2) and all(math.isfinite(p) for p in parts):
+        return complex(*parts)
+    raise ConfigError(f"cannot parse complex number {text!r} (want finite RE or RE,IM)")
 
 
 def _parse_exact_point(text: str) -> GaussianRational:
@@ -246,20 +250,11 @@ def _require_config(args) -> ProblemConfig:
     cfg = load_config(args.config)
     if args.z0 is not None:
         cfg.basepoint = _parse_exact_point(args.z0)
-    if args.N is not None:
-        if args.N < 0:
-            raise ConfigError("--N must be >= 0")
-        cfg.truncation = args.N
-    if args.tol is not None:
-        if args.tol <= 0:
-            raise ConfigError("--tol must be positive")
-        cfg.tol = args.tol
-    if args.margin is not None:
-        if args.margin <= 0:
-            raise ConfigError("--margin must be positive")
-        cfg.margin = args.margin
-    if args.seed is not None:
-        cfg.seed = args.seed
+    overrides = {"truncation": args.N, "tol": args.tol, "margin": args.margin, "seed": args.seed}
+    for name, value in overrides.items():
+        if value is not None:
+            setattr(cfg, name, value)
+    cfg.validate()
     return cfg
 
 
@@ -388,10 +383,24 @@ _HANDLERS = {
 }
 
 
+_NEGATIVE_VALUE = re.compile(r"^-[\d.]")
+
+
+def _join_negative_values(argv):
+    """`--z0 -1/2` -> `--z0=-1/2`; argparse would read `-1/2` as an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE_VALUE.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_argparser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -399,7 +408,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (PathGeometryError, StepSizeUnderflowError, PoleEvaluationError) as exc:
+    except (PathGeometryError, PoleEvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GEOMETRY
 

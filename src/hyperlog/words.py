@@ -153,24 +153,22 @@ def shuffle(u, v) -> dict[Word, int]:
 
     The coefficient of w counts the position subsets of w carrying u with
     the complement carrying v, so the coefficients sum to C(|u|+|v|, |u|).
+    Built from the suffix recursion au ⧢ bv = a(u ⧢ bv) + b(au ⧢ v): row i
+    of the table holds u[i:] ⧢ v[j:] for every j, computed from row i + 1.
     """
-    u, v = Word(u), Word(v)
-    n = len(u) + len(v)
-    out: dict[Word, int] = {}
-    for positions in itertools.combinations(range(n), len(u)):
-        chosen = set(positions)
-        letters = []
-        iu = iv = 0
-        for slot in range(n):
-            if slot in chosen:
-                letters.append(u[iu])
-                iu += 1
-            else:
-                letters.append(v[iv])
-                iv += 1
-        w = Word(letters)
-        out[w] = out.get(w, 0) + 1
-    return out
+    u, v = tuple(Word(u)), tuple(Word(v))
+    row = [{v[j:]: 1} for j in range(len(v) + 1)]
+    for i in range(len(u) - 1, -1, -1):
+        a = u[i : i + 1]
+        below, row = row, [None] * len(v) + [{u[i:]: 1}]
+        for j in range(len(v) - 1, -1, -1):
+            acc = {a + w: n for w, n in below[j].items()}
+            b = v[j : j + 1]
+            for w, n in row[j + 1].items():
+                acc[b + w] = acc.get(b + w, 0) + n
+            row[j] = acc
+    # letters were coerced to int on entry; skip Word's per-letter int()
+    return {tuple.__new__(Word, w): n for w, n in row[0].items()}
 
 
 def coshuffle(w) -> dict[tuple[Word, Word], int]:

@@ -12,6 +12,7 @@ from hyperlog import (
     grouplike_defect,
     grouplike_report,
 )
+from hyperlog.cert import rational_coefficient_table
 from hyperlog.chen import _segment_distance
 
 E = Word()
@@ -19,6 +20,7 @@ X0 = Word((0,))
 X1 = Word((1,))
 X00 = Word((0, 0))
 X01 = Word((0, 1))
+X10 = Word((1, 0))
 
 
 def min_pole_distance(path, poles):
@@ -40,6 +42,19 @@ class TestPathSpec:
         p = PathSpec((-1 + 0j, 1 + 0j), 0.1)
         with pytest.raises(PathGeometryError):
             p.validate_against([0j])
+
+    @pytest.mark.parametrize(
+        "waypoints, margin",
+        [
+            ((complex("nan"), 1j), 0.1),
+            ((0j, complex("inf")), 0.1),
+            ((0j, 1j), float("nan")),
+            ((0j, 1j), float("inf")),
+        ],
+    )
+    def test_non_finite_rejected(self, waypoints, margin):
+        with pytest.raises(PathGeometryError):
+            PathSpec(waypoints, margin)
 
 
 class TestBuildPath:
@@ -68,6 +83,20 @@ class TestBuildPath:
     def test_endpoint_too_close(self):
         with pytest.raises(PathGeometryError):
             build_path(0.05, -1, [0j], 0.1)
+
+    @pytest.mark.parametrize(
+        "z0, z, margin",
+        [
+            (float("nan"), 0.5, 0.05),
+            (-1, complex("inf"), 0.05),
+            (-1, complex(0.5, float("nan")), 0.05),
+            (-1, 2, float("nan")),
+            (-1, 2, float("inf")),
+        ],
+    )
+    def test_non_finite_rejected(self, z0, z, margin):
+        with pytest.raises(PathGeometryError):
+            build_path(z0, z, [0j, 1 + 0j], margin)
 
 
 class TestEvalCoeffs:
@@ -102,6 +131,9 @@ class TestEvalCoeffs:
             eval_coeffs(polylog_multiplier, path, -1, 1e-10)
         with pytest.raises(ValueError):
             eval_coeffs(polylog_multiplier, path, 2, 0.0)
+        for tol in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                eval_coeffs(polylog_multiplier, path, 2, tol)
 
     def test_path_must_respect_margin(self, polylog_multiplier):
         bad = PathSpec((-1 + 0j, 2 + 0j), 0.05)  # runs through both poles
@@ -149,6 +181,37 @@ class TestEvalCoeffs:
             want = u.evaluate(zc) * Tc[Word(w[1:])]
             got = (Tp[w] - Tm[w]) / (2 * h)
             assert abs(got - want) <= 1e-5 * max(1.0, abs(want))
+
+
+    @pytest.mark.parametrize(
+        "z0, z", [(2, 0.97 - 0.05j), (2, 0.5 + 0.01j), (-1, 0.06 + 0.01j), (-1, 1.06 + 0.02j)]
+    )
+    def test_double_poles_match_exact_forms(self, counterexample_multiplier, z0, z):
+        # near-pole endpoints reached round a pole.  The exact table holds
+        # the power words; x0.x1 and x1.x0 need logs: with c = 1/(z0-1) and
+        # d = 1/z0, u0 <S|x1> = 1/s + (1+c)/s^2 - 1/(s-1) and
+        # u1 <S|x0> = -1/s + 1/(s-1) - (1-d)/(s-1)^2, logs continued
+        # segment by segment along the path
+        M = counterexample_multiplier
+        tol = 1e-12
+        path = build_path(z0, z, M.pole_set.approx, 0.05)
+        assert len(path.waypoints) > 2
+        T = eval_coeffs(M, path, 3, tol)
+        exact = rational_coefficient_table(M, z0, 3)
+        want = {w: f.evaluate(z) for w, f in exact.entries.items()}
+        L0, L1 = (sum(cmath.log((b - p) / (a - p)) for a, b in path.segments()) for p in (0, 1))
+        c, d = 1 / (z0 - 1), 1 / z0
+        want[X01] = L0 - L1 - (1 + c) * (1 / z - 1 / z0)
+        want[X10] = L1 - L0 + (1 - d) * (1 / (z - 1) - 1 / (z0 - 1))
+        for w, value in want.items():
+            assert abs(T[w] - value) <= 10 * tol, w
+
+    @pytest.mark.parametrize("z", [0.1 + 0.05j, 0.5 + 0.01j, 1.06 + 0.02j, 0.94 - 0.03j])
+    def test_fuchsian_estimates_stay_under_tol(self, polylog_multiplier, z):
+        tol = 1e-12
+        path = build_path(-1, z, [0j, 1 + 0j], 0.05)
+        T = eval_coeffs(polylog_multiplier, path, 4, tol)
+        assert 0.0 < max(T.error_estimates.values()) <= tol
 
 
 class TestPathInvariance:

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,50 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--config", POLYLOG, "--z", "1.01,0")
         assert code == 3
         assert "pole" in err
+
+    @pytest.mark.parametrize("override", ["--z0=1/50", "--margin=2"])
+    def test_basepoint_near_pole_is_parse_error(self, capsys, override):
+        code, _, err = run(capsys, "eval", "--config", POLYLOG, "--z", "0.5", override)
+        assert code == 2
+        assert "basepoint" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--z=nan"],
+            ["--z=inf,0"],
+            ["--z=0.5", "--tol=nan"],
+            ["--z=0.5", "--margin=nan"],
+            ["--z=2,0", "--margin=nan"],  # the path would run through a pole
+        ],
+    )
+    def test_non_finite_flags_rejected(self, capsys, argv):
+        code, out, err = run(capsys, "eval", "--config", POLYLOG, *argv)
+        assert code == 2
+        assert out == "" and "finite" in err
+
+    @pytest.mark.parametrize("field", ["tol", "margin"])
+    def test_non_finite_config_rejected(self, capsys, tmp_path, field):
+        text = Path(POLYLOG).read_text()
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(re.sub(rf"^{field}: .*$", f"{field}: .nan", text, flags=re.M))
+        code, out, err = run(capsys, "eval", "--config", str(bad), "--z", "0.5")
+        assert code == 2
+        assert out == "" and field in err
+
+    def test_spaced_negative_values(self, capsys):
+        code, out, _ = run(capsys, "eval", "--config", POLYLOG, "--z", "-1.08,0", "--N", "1")
+        assert code == 0
+        assert float(out.splitlines()[1].split("\t")[1]) == pytest.approx(math.log(1.08), abs=1e-10)
+        code, out, _ = run(capsys, "certify", "--config", COUNTER, "--z0", "-1/2")
+        assert code == 10
+        assert out.startswith("DEPENDENT")
+
+    def test_byte_identical_reruns(self, capsys):
+        argv = ("eval", "--config", POLYLOG, "--z", "0.5,0.01", "--N", "3")
+        _, out1, _ = run(capsys, *argv)
+        _, out2, _ = run(capsys, *argv)
+        assert out1 and out1 == out2
 
     def test_missing_z(self, capsys):
         code, _, _ = run(capsys, "eval", "--config", POLYLOG)
