@@ -5,11 +5,11 @@ The coefficient family solves the lower-triangular linear system
 d<S|x_i w>/dz = u_i(z) <S|w> with <S|1> = 1 and all positive-length
 coefficients vanishing at the basepoint.  Each step expands the multipliers
 in Taylor series about a centre c on the path, over a quarter of the distance
-from c to the nearest pole that carries a term, and integrates the series of
-length-l words from those of length l-1 (stratum l reads only stratum l-1).
-The series order comes from a Cauchy bound on the circle of twice the step;
-the bound on the discarded tail is summed per length stratum as the error
-estimate (in the style of Vollinga & Weinzierl, hep-ph/0410259).
+from c to the nearest pole that carries a term (less where the multipliers
+are large), and integrates the series of length-l words from those of length
+l-1.  The series order comes from a Cauchy bound on the circle of twice the
+step; the tail bounds are summed per length stratum as the error estimate
+(in the style of Vollinga & Weinzierl, hep-ph/0410259).
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ class PathGeometryError(ValueError):
 
 
 class StepSizeUnderflowError(RuntimeError):
-    """Adaptive step shrank below representable size.  The series
-    propagator never raises it: its steps are sized from the pole distance,
-    which the path margin bounds below."""
+    """A step shrank below the float resolution of its segment: the path
+    passes too close to a pole, or the multiplier is too large, for the
+    series to make progress in double precision."""
 
 
 class TruncationError(ValueError):
@@ -185,6 +185,15 @@ def _shift_poly(p: list, c: complex) -> list:
     return q
 
 
+def _max_on_circle(terms, polys, c: complex, r: float) -> float:
+    """Upper bound on max_i |u_i| over the circle of radius r about c."""
+    return max(
+        sum(abs(coef) * (abs(c - p) - r) ** -k for p, k, coef in ts)
+        + sum(abs(q) * (abs(c) + r) ** n for n, q in enumerate(ps))
+        for ts, ps in zip(terms, polys)
+    )
+
+
 def eval_coeffs(
     M: Multiplier,
     path: PathSpec,
@@ -246,14 +255,17 @@ def eval_coeffs(
         while t < seg_len:
             c = a + dhat * t
             h = min([seg_len - t] + [abs(c - p) / 4.0 for p in poles])
+            # Cauchy bounds on the circle |s| = 2h: |u_i| <= U, |y_w| <= B_l.
+            # Shrinking h until 2hU <= 1 keeps B_l near the values themselves
+            # (U only falls as the circle shrinks, so 0.5/U is always enough).
+            U = _max_on_circle(terms, polys, c, 2.0 * h)
+            while 2.0 * h * U > 1.0:
+                h = max(h / 2.0, 0.5 / U)
+                U = _max_on_circle(terms, polys, c, 2.0 * h)
+            if h < min(seg_len * 1e-14, seg_len - t):
+                raise StepSizeUnderflowError(f"step size {h:.3g} underflows at {c}")
             H = dhat * h
             r = 2.0 * h
-            # Cauchy bounds on the circle |s| = 2h: |u_i| <= U, |y_w| <= B_l
-            U = max(
-                sum(abs(coef) * (abs(c - p) - r) ** -k for p, k, coef in ts)
-                + sum(abs(q) * (abs(c) + r) ** n for n, q in enumerate(ps))
-                for ts, ps in zip(terms, polys)
-            )
             B = [1.0]
             for ln in range(1, top + 1):
                 lo, hi = starts[ln], starts[ln + 1]
@@ -261,10 +273,8 @@ def eval_coeffs(
             # the sigma-scaled coefficients are bounded by B_l 2^-m, so K
             # terms leave a tail of at most B_l 2^(1-K)
             share = h / total_len
-            ratio = max(
-                (Bl / (max(tol, 4.0 * _EPS * Bl) * share) for Bl in B[1:]), default=1.0
-            )
-            K = 1 + int(np.ceil(np.log2(max(ratio, 1.0))))
+            ratio = max([1.0] + [Bl / (max(tol, 4.0 * _EPS * Bl) * share) for Bl in B[1:]])
+            K = 1 + int(np.ceil(np.log2(ratio)))
             est[1 : top + 1] += np.array(B[1:]) * 2.0 ** (1 - K)
 
             # u_i(c + sigma H) H = sum_m A[i, m] sigma^m
@@ -298,15 +308,9 @@ def eval_coeffs(
                 prev = cur
             t = seg_len if h >= seg_len - t else t + h
 
-    values = {w: complex(y[j]) for w, j in index.items()}
-    values[Word()] = 1.0 + 0.0j
-    return CoefficientTable(
-        values=values,
-        z0=path.z0,
-        z=path.z,
-        truncation=N,
-        error_estimates={ln: float(est[ln]) for ln in range(N + 1)},
-    )
+    values = {w: complex(y[j]) for w, j in index.items()}  # y[0] = <S|1> = 1
+    estimates = {ln: float(e) for ln, e in enumerate(est)}
+    return CoefficientTable(values, path.z0, path.z, N, estimates)
 
 
 def grouplike_report(T: CoefficientTable):

@@ -21,6 +21,7 @@ from .cert import (
 )
 from .chen import (
     PathGeometryError,
+    StepSizeUnderflowError,
     build_path,
     eval_coeffs,
     grouplike_report,
@@ -408,7 +409,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (PathGeometryError, PoleEvaluationError) as exc:
+    except (PathGeometryError, StepSizeUnderflowError, PoleEvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GEOMETRY
 

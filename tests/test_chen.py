@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from hyperlog import (
+    Multiplier,
     PathGeometryError,
     PathSpec,
+    PoleLocalizedRational,
     Word,
     build_path,
     eval_coeffs,
@@ -212,6 +214,26 @@ class TestEvalCoeffs:
         path = build_path(-1, z, [0j, 1 + 0j], 0.05)
         T = eval_coeffs(polylog_multiplier, path, 4, tol)
         assert 0.0 < max(T.error_estimates.values()) <= tol
+
+    @pytest.mark.parametrize("z0, z", [(2, 2 + 3j), (-1, -1 + 2j)])
+    def test_polynomial_part_estimates_stay_under_tol(self, alphabet01, poles01, z0, z):
+        # u0 = 1/z, u1 = z: far from the only pole carrying a term, the step
+        # is limited by the size of u1 rather than by the pole distance
+        M = Multiplier(
+            alphabet01,
+            poles01,
+            {
+                0: PoleLocalizedRational.simple_pole(poles01, 0),
+                1: PoleLocalizedRational(poles01, (0, 1)),
+            },
+        )
+        tol = 1e-12
+        T = eval_coeffs(M, build_path(z0, z, poles01.approx, 0.05), 4, tol)
+        assert 0.0 < max(T.error_estimates.values()) <= tol
+        L, F = cmath.log(z / z0), (z * z - z0 * z0) / 2
+        want = {X0: L, X1: F, X00: L**2 / 2, Word((1, 1, 1, 1)): F**4 / 24}
+        for w, value in want.items():
+            assert abs(T[w] - value) <= 10 * tol, w
 
 
 class TestPathInvariance:

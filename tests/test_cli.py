@@ -112,11 +112,14 @@ class TestEval:
         assert code == 10
         assert out.startswith("DEPENDENT")
 
-    def test_byte_identical_reruns(self, capsys):
-        argv = ("eval", "--config", POLYLOG, "--z", "0.5,0.01", "--N", "3")
-        _, out1, _ = run(capsys, *argv)
-        _, out2, _ = run(capsys, *argv)
-        assert out1 and out1 == out2
+    def test_step_underflow_is_geometry_error(self, capsys):
+        # the straight path clears pole 0 by about 6.7e-19, more than the
+        # margin, but no double-precision step can pass that close
+        code, out, err = run(
+            capsys, "eval", "--config", POLYLOG, "--z=0.5,1e-18", "--margin=1e-20"
+        )
+        assert code == 3
+        assert out == "" and "step size" in err
 
     def test_missing_z(self, capsys):
         code, _, _ = run(capsys, "eval", "--config", POLYLOG)
@@ -198,9 +201,14 @@ class TestRelations:
         assert out == "no relations found\n"
 
     def test_byte_identical_reruns(self, capsys):
-        _, out1, _ = run(capsys, "relations", "--config", COUNTER)
-        _, out2, _ = run(capsys, "relations", "--config", COUNTER)
-        assert out1 == out2
+        # covers the numeric table of eval as well as the relation search
+        for argv in (
+            ("relations", "--config", COUNTER),
+            ("eval", "--config", POLYLOG, "--z", "0.5,0.01", "--N", "3"),
+        ):
+            _, out1, _ = run(capsys, *argv)
+            _, out2, _ = run(capsys, *argv)
+            assert out1 and out1 == out2, argv[0]
 
 
 class TestParsing:
