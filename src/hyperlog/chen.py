@@ -7,19 +7,21 @@ coefficients vanishing at the basepoint.  Each step expands the multipliers
 in Taylor series about a centre c on the path, over a quarter of the distance
 from c to the nearest pole that carries a term (less where the multipliers
 are large), and integrates the series of length-l words from those of length
-l-1.  The series order comes from a Cauchy bound on the circle of twice the
-step; the tail bounds are summed per length stratum as the error estimate
-(in the style of Vollinga & Weinzierl, hep-ph/0410259).
+l-1.  The series order comes from a Cauchy bound on the circle of three
+times the step, where integrating the system along rays from c bounds the
+coefficients; the tail bounds are summed per length stratum as the error
+estimate (in the style of Vollinga & Weinzierl, hep-ph/0410259).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import factorial
 
 import numpy as np
 
 from .ncalg import Multiplier
-from .words import Word, shuffle
+from .words import Word, graded_lex_key, shuffle
 
 
 class PathGeometryError(ValueError):
@@ -170,7 +172,7 @@ class CoefficientTable:
         return Word(w) in self.values
 
     def words(self) -> list[Word]:
-        return sorted(self.values)
+        return sorted(self.values, key=graded_lex_key)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -255,8 +257,8 @@ def eval_coeffs(
         while t < seg_len:
             c = a + dhat * t
             h = min([seg_len - t] + [abs(c - p) / 4.0 for p in poles])
-            # Cauchy bounds on the circle |s| = 2h: |u_i| <= U, |y_w| <= B_l.
-            # Shrinking h until 2hU <= 1 keeps B_l near the values themselves
+            # U bounds |u_i| on the circle |s| = 2h.  Shrinking h until
+            # 2hU <= 1 keeps the bound b_l (below) near the values themselves
             # (U only falls as the circle shrinks, so 0.5/U is always enough).
             U = _max_on_circle(terms, polys, c, 2.0 * h)
             while 2.0 * h * U > 1.0:
@@ -265,17 +267,20 @@ def eval_coeffs(
             if h < min(seg_len * 1e-14, seg_len - t):
                 raise StepSizeUnderflowError(f"step size {h:.3g} underflows at {c}")
             H = dhat * h
-            r = 2.0 * h
-            B = [1.0]
+            # Integrating d y_(x_i w) = u_i y_w along rays from c bounds
+            # |y_w| on the disc |s| <= 3h (still h from every pole) by
+            # b_l = sum_j Y_(l-j) (3h U_r)^j / j!, Y_l = max |y_w(c)|.
+            x = 3.0 * h * _max_on_circle(terms, polys, c, 3.0 * h)
+            Y = [1.0]
             for ln in range(1, top + 1):
-                lo, hi = starts[ln], starts[ln + 1]
-                B.append(float(np.abs(y[lo:hi]).max()) + r * U * B[-1])
-            # the sigma-scaled coefficients are bounded by B_l 2^-m, so K
-            # terms leave a tail of at most B_l 2^(1-K)
+                Y.append(float(np.abs(y[starts[ln] : starts[ln + 1]]).max()))
+            b = np.convolve(Y, [x**j / factorial(j) for j in range(top + 1)])[1 : top + 1]
+            # the sigma-scaled coefficients are bounded by b_l 3^-m, so K
+            # terms leave a tail of at most b_l 3^-K 3/2
             share = h / total_len
-            ratio = max([1.0] + [Bl / (max(tol, 4.0 * _EPS * Bl) * share) for Bl in B[1:]])
-            K = 1 + int(np.ceil(np.log2(ratio)))
-            est[1 : top + 1] += np.array(B[1:]) * 2.0 ** (1 - K)
+            ratio = max([1.0] + [1.5 * bl / (max(tol, 4.0 * _EPS * bl) * share) for bl in b])
+            K = max(1, int(np.ceil(np.log(ratio) / np.log(3.0))))
+            est[1 : top + 1] += b * 1.5 * 3.0**-K
 
             # u_i(c + sigma H) H = sum_m A[i, m] sigma^m
             m = np.arange(K)
@@ -315,18 +320,21 @@ def eval_coeffs(
 
 def grouplike_report(T: CoefficientTable):
     """(max defect, worst pair) over pairs 1 <= |u|,|v|, |u|+|v| <= N of
-    |<S|u><S|v> - <S|u shuffle v>|; (0.0, None) when no pair qualifies."""
+    |<S|u><S|v> - <S|u shuffle v>|; (0.0, None) when no pair qualifies.
+
+    The defect is symmetric in u and v, so each unordered pair is checked
+    once and reported with u first in graded lex order."""
     N = T.truncation
-    words_pos = [w for w in T.words() if 1 <= len(w)]
+    vals = T.values
+    pos = [w for w in T.words() if w]
     worst = 0.0
     worst_pair = None
-    for u in words_pos:
-        for v in words_pos:
+    for a, u in enumerate(pos):
+        for v in pos[a:]:
             if len(u) + len(v) > N:
-                continue
-            lhs = T[u] * T[v]
-            rhs = sum(n * T[w] for w, n in shuffle(u, v).items())
-            defect = abs(lhs - rhs)
+                break
+            rhs = sum(n * vals[w] for w, n in shuffle(u, v).items())
+            defect = abs(vals[u] * vals[v] - rhs)
             if defect > worst:
                 worst = defect
                 worst_pair = (u, v)

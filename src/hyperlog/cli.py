@@ -306,7 +306,7 @@ def _cmd_eval(args) -> int:
     table = _table_for_endpoint(cfg, args.z, cfg.truncation)
     lines = []
     for w in table.words():
-        val = table[w]
+        val = table.values[w]
         err = table.error_estimates.get(len(w), 0.0)
         lines.append(
             "\t".join(

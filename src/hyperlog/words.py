@@ -103,8 +103,9 @@ class Alphabet:
 
     def words_of_length(self, n: int) -> Iterator[Word]:
         """Length-n words in ascending (graded) lex order."""
+        # product yields tuples of ints already; skip Word's per-letter int()
         for combo in itertools.product(range(len(self.letters)), repeat=n):
-            yield Word(combo)
+            yield tuple.__new__(Word, combo)
 
     def words_up_to(self, n: int, degree_cap=None) -> list[Word]:
         """All words of length <= n, graded lex ascending; ``degree_cap``

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from hyperlog import (
     Alphabet,
@@ -10,6 +11,11 @@ from hyperlog import (
     PoleLocalizedRational,
     PoleSet,
 )
+
+# Property tests replay the same examples on every run and never fail on
+# wall-clock time, so tier-1 stays deterministic on a slow or busy machine.
+settings.register_profile("deterministic", deadline=None, derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -1,21 +1,28 @@
 import cmath
+import random
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from hyperlog import (
+    Alphabet,
     Multiplier,
     PathGeometryError,
     PathSpec,
     PoleLocalizedRational,
+    PoleSet,
     Word,
     build_path,
     eval_coeffs,
     grouplike_defect,
     grouplike_report,
+    shuffle,
 )
 from hyperlog.cert import rational_coefficient_table
 from hyperlog.chen import _segment_distance
+from hyperlog.cli import load_config
 
 E = Word()
 X0 = Word((0,))
@@ -236,6 +243,82 @@ class TestEvalCoeffs:
             assert abs(T[w] - value) <= 10 * tol, w
 
 
+def chebyshev_integration(n):
+    """Chebyshev points tau_j on [0, 1] (ascending, ends included) and the
+    matrix S with sum_k S[j, k] f(tau_k) = integral of f over [0, tau_j]
+    for every polynomial f of degree < n, at the working precision."""
+    theta = [mp.pi * (n - 1 - j) / (n - 1) for j in range(n)]  # x_j = cos(theta_j)
+    # values -> Chebyshev coefficients (DCT-I), then the antiderivative of
+    # each T_k from -1, halved for the map x = 2 tau - 1
+    edge = lambda i: mp.mpf(0.5) if i in (0, n - 1) else mp.mpf(1)
+    C = [[2 * edge(k) * edge(j) * mp.cos(k * theta[j]) / (n - 1) for j in range(n)] for k in range(n)]
+
+    def anti(k, th):
+        if k == 0:
+            return mp.cos(th) + 1
+        if k == 1:
+            return (mp.cos(th) ** 2 - 1) / 2
+        F = lambda t: (mp.cos((k + 1) * t) / (k + 1) - mp.cos((k - 1) * t) / (k - 1)) / 2
+        return F(th) - F(mp.pi)
+
+    A = [[anti(k, th) for k in range(n)] for th in theta]
+    S = [[mp.fsum(A[j][k] * C[k][i] for k in range(n)) / 2 for i in range(n)] for j in range(n)]
+    return [(1 - mp.cos(mp.pi * j / (n - 1))) / 2 for j in range(n)], np.array(S, dtype=object)
+
+
+def mp_coefficients(letters, path, N, n=32):
+    """<S|w> for every |w| <= N of u_i = weight_i / (z - pole_i), letters
+    given as (pole, weight): the coefficient system integrated in mpmath by
+    Chebyshev collocation on panels a third of the distance to the nearest
+    pole long, where the interpolation error is far below 1e-24."""
+    taus, S = chebyshev_integration(n)
+    strata = [[()]]
+    for _ in range(N):
+        strata.append([(i,) + w for i in range(len(letters)) for w in strata[-1]])
+    vals = {w: mp.mpc(0) for st in strata for w in st}
+    vals[()] = mp.mpc(1)
+    for a, b in path.segments():
+        a, b = mp.mpc(a), mp.mpc(b)
+        t = mp.mpf(0)
+        while t < 1:
+            c = a + (b - a) * t
+            ell = min(1 - t, min(abs(c - p) for p, _ in letters) / (3 * abs(b - a)))
+            step = (b - a) * ell
+            g = [[wt * step / (c + step * tau - p) for tau in taus] for p, wt in letters]
+            prev = {(): [1] * n}  # values at the panel's points
+            for ln in range(1, N + 1):
+                cur = {}
+                for w in strata[ln]:
+                    f = np.array([gi * yi for gi, yi in zip(g[w[0]], prev[w[1:]])], dtype=object)
+                    if ln == N:
+                        vals[w] += S[-1] @ f
+                    else:
+                        cur[w] = vals[w] + S @ f
+                        vals[w] = cur[w][-1]
+                prev = cur
+            t += ell
+    return vals
+
+
+class TestMpmathOracle:
+    """Every word of length <= 4 of configs/polylog.yaml against the
+    coefficient system integrated independently at 30 digits."""
+
+    @pytest.mark.parametrize("z", [0.5 + 0.8j, 0.5 - 0.01j])
+    def test_polylog_words_within_estimates(self, z):
+        cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "polylog.yaml"))
+        path = build_path(complex(cfg.basepoint), z, cfg.pole_set.approx, cfg.margin)
+        T = eval_coeffs(cfg.multiplier, path, 4, cfg.tol)
+        with mp.workdps(30):
+            letters = [(mp.mpf(0), 1), (mp.mpf(1), -1)]  # u0 = 1/z, u1 = 1/(1-z)
+            want = mp_coefficients(letters, path, 4)
+            # the oracle itself against the closed form <S|x0> = log(z/z0)
+            assert abs(want[(0,)] - mp.log(mp.mpc(z) / path.z0)) < 1e-24
+        for ln in range(1, 5):
+            err = max(abs(T.values[Word(w)] - complex(v)) for w, v in want.items() if len(w) == ln)
+            assert err <= T.error_estimates[ln] <= cfg.tol, ln
+
+
 class TestPathInvariance:
     def test_margin_independence(self, polylog_multiplier):
         tol = 1e-11
@@ -259,7 +342,38 @@ class TestPathInvariance:
                 assert abs(T[w]) <= 10 * tol
 
 
+def ordered_pair_report(T):
+    """Reference for grouplike_report: every ordered pair (u, v)."""
+    pos = [w for w in T.words() if w]
+    worst, worst_pair = 0.0, None
+    for u in pos:
+        for v in pos:
+            if len(u) + len(v) <= T.truncation:
+                defect = abs(T[u] * T[v] - sum(n * T[w] for w, n in shuffle(u, v).items()))
+                if defect > worst:
+                    worst, worst_pair = defect, (u, v)
+    return worst, worst_pair
+
+
 class TestGrouplike:
+    @pytest.mark.parametrize("corrupt", ["none", "first-pair", "random"])
+    def test_unordered_pairs_match_ordered_loop(self, corrupt):
+        poles = PoleSet(["0", "1", "-1"])
+        M = Multiplier.fuchsian(Alphabet(["a", "b", "c"]), poles, {0: (0, 1), 1: (1, -1), 2: (2, 1)})
+        T = eval_coeffs(M, build_path(0.5j, 0.5 + 0.25j, poles.approx, 0.05), 5, 1e-12)
+        rng = random.Random(7)
+        if corrupt == "first-pair":
+            T.values[Word((0, 0))] += 0.1
+        elif corrupt == "random":
+            for w in rng.sample([w for w in T.words() if len(w) >= 2], 12):
+                T.values[w] += complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 1e-3
+        defect, pairw = grouplike_report(T)
+        want, want_pair = ordered_pair_report(T)
+        assert abs(defect - want) <= 1e-12 * want
+        assert sorted(pairw) == sorted(want_pair) and pairw[0] <= pairw[1]
+        if corrupt != "none":
+            assert defect > 1e-4
+
     def test_clean_table(self, polylog_multiplier):
         path = build_path(0.5, 0.25, [0j, 1 + 0j], 0.1)
         T = eval_coeffs(polylog_multiplier, path, 4, 1e-12)

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hyperlog import (
     Alphabet,
@@ -24,6 +26,9 @@ def brute_interleavings(u, v):
     return [(u[0],) + rest for rest in brute_interleavings(u[1:], v)] + [
         (v[0],) + rest for rest in brute_interleavings(u, v[1:])
     ]
+
+
+words = st.lists(st.integers(0, 2), max_size=5).map(Word)
 
 
 def brute_shuffle(u, v):
@@ -100,14 +105,12 @@ class TestShuffle:
             v = Word(rng.randrange(3) for _ in range(rng.randint(0, 4)))
             assert shuffle(u, v) == brute_shuffle(u, v)
 
-    def test_commutative_and_binomial_sum(self):
-        rng = random.Random(13)
-        for _ in range(100):
-            u = Word(rng.randrange(3) for _ in range(rng.randint(0, 5)))
-            v = Word(rng.randrange(3) for _ in range(rng.randint(0, 5)))
-            sh = shuffle(u, v)
-            assert sh == shuffle(v, u)
-            assert sum(sh.values()) == math.comb(len(u) + len(v), len(u))
+    @given(words, words)
+    def test_commutative_and_binomial_sum(self, u, v):
+        # grouplike_report checks each unordered pair once on this symmetry
+        sh = shuffle(u, v)
+        assert sh == shuffle(v, u)
+        assert sum(sh.values()) == math.comb(len(u) + len(v), len(u))
 
     def test_associative(self):
         rng = random.Random(17)
