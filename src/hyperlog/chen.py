@@ -16,12 +16,14 @@ estimate (in the style of Vollinga & Weinzierl, hep-ph/0410259).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, product
 from math import factorial
 
 import numpy as np
 
 from .ncalg import Multiplier
-from .words import Word, graded_lex_key, shuffle
+from .words import Word, graded_lex_key
+from .words import shuffle  # noqa: F401  (hyperbench/tracing.py wraps chen.shuffle)
 
 
 class PathGeometryError(ValueError):
@@ -96,9 +98,6 @@ class PathSpec:
                         f"segment [{a}, {b}] passes within {self.margin} of pole {p}"
                     )
 
-    def reversed(self) -> "PathSpec":
-        return PathSpec(self.waypoints[::-1], self.margin)
-
 
 def build_path(z0: complex, z: complex, poles, margin: float) -> PathSpec:
     """Straight segment when it clears every pole by ``margin``, otherwise a
@@ -154,7 +153,10 @@ def _clear_segment(a, b, poles, margin, depth):
 
 @dataclass
 class CoefficientTable:
-    """Values of <S|w> at the path endpoint for all |w| <= truncation."""
+    """Values of <S|w> at the path endpoint for all |w| <= truncation.
+
+    ``eval_coeffs`` inserts ``values`` in graded lex order, so iterating the
+    dict walks the words as ``words()`` lists them."""
 
     values: dict
     z0: complex
@@ -208,8 +210,8 @@ def eval_coeffs(
 
     ``tol`` is the absolute error target per coefficient over the whole
     path; ``error_estimates[l]`` is the summed Cauchy bound on the series
-    tails of length-l words.  The optional ``degree_cap`` restricts words
-    to a multidegree box.
+    tails of length-l words.  The optional ``degree_cap`` keeps only the
+    words inside a multidegree box (and the estimates of their lengths).
     """
     if not isinstance(N, int) or N < 0:
         raise TruncationError(f"truncation must be a nonnegative integer, got {N!r}")
@@ -217,38 +219,27 @@ def eval_coeffs(
         raise ValueError("tol must be positive and finite")
     path.validate_against(M.pole_set.approx)
 
-    word_list = M.alphabet.words_up_to(N, degree_cap)
-    index = {w: j for j, w in enumerate(word_list)}
-    # graded lex ascending: strata are contiguous, and so are the words of
-    # one first letter inside a stratum.  blocks[l-1] lists, per first
-    # letter of stratum l, (letter, lo, hi, tail positions in stratum l-1).
-    starts = np.searchsorted([len(w) for w in word_list], np.arange(N + 2)).tolist()
-    blocks = []
-    for ln in range(1, N + 1):
-        stratum = []
-        for i in range(len(M.alphabet)):
-            js = [j for j in range(starts[ln], starts[ln + 1]) if word_list[j][0] == i]
-            if js:
-                tails = [index[word_list[j][1:]] - starts[ln - 1] for j in js]
-                stratum.append((i, js[0], js[-1] + 1, np.array(tails, dtype=np.intp)))
-        if not stratum:
-            break
-        blocks.append(stratum)
-
+    # graded lex order over L letters is base-L numbering: stratum l starts
+    # at sum_(k<l) L^k, and x_i w sits at i L^(l-1) plus w's place in l-1
+    L = len(M.alphabet)
+    starts = np.cumsum([0] + [L**ln for ln in range(N + 1)]).tolist()
     # per letter: principal-part terms (pole, order, coefficient) and the
-    # polynomial part, as complex numbers
-    us = [M.terms[i] for i in range(len(M.alphabet))]
+    # polynomial part, as complex numbers; the terms also as flat arrays
+    us = [M.terms[i] for i in range(L)]
     terms = [
         [(M.pole_set.approx[i], k, complex(c)) for (i, k), c in u.principal.items()]
         for u in us
     ]
     polys = [[complex(c) for c in u.poly] for u in us]
-    poles = {p for ts in terms for p, _, _ in ts}
-    y = np.zeros(len(word_list), dtype=complex)
+    flat = [(i, k, p, a) for i, ts in enumerate(terms) for p, k, a in ts]
+    letter, order = np.array([f[:2] for f in flat], dtype=int).reshape(-1, 2).T
+    pole, coef = np.array([f[2:] for f in flat], dtype=complex).reshape(-1, 2).T
+    of_letter = (letter == np.arange(L)[:, None]).astype(complex)
+    tables = {}  # K -> (m, lag index, integration weights, binomial rows)
+    y = np.zeros(starts[-1], dtype=complex)
     y[0] = 1.0
     est = np.zeros(N + 1)
     total_len = path.length()
-    top = len(blocks)
 
     for a, b in path.segments():
         seg_len = abs(b - a)
@@ -256,7 +247,7 @@ def eval_coeffs(
         t = 0.0
         while t < seg_len:
             c = a + dhat * t
-            h = min([seg_len - t] + [abs(c - p) / 4.0 for p in poles])
+            h = min(seg_len - t, float(np.abs(c - pole).min(initial=np.inf)) / 4.0)
             # U bounds |u_i| on the circle |s| = 2h.  Shrinking h until
             # 2hU <= 1 keeps the bound b_l (below) near the values themselves
             # (U only falls as the circle shrinks, so 0.5/U is always enough).
@@ -271,50 +262,52 @@ def eval_coeffs(
             # |y_w| on the disc |s| <= 3h (still h from every pole) by
             # b_l = sum_j Y_(l-j) (3h U_r)^j / j!, Y_l = max |y_w(c)|.
             x = 3.0 * h * _max_on_circle(terms, polys, c, 3.0 * h)
-            Y = [1.0]
-            for ln in range(1, top + 1):
-                Y.append(float(np.abs(y[starts[ln] : starts[ln + 1]]).max()))
-            b = np.convolve(Y, [x**j / factorial(j) for j in range(top + 1)])[1 : top + 1]
+            Y = np.maximum.reduceat(np.abs(y), starts[:-1])
+            b = np.convolve(Y, [x**j / factorial(j) for j in range(N + 1)])[1 : N + 1]
             # the sigma-scaled coefficients are bounded by b_l 3^-m, so K
             # terms leave a tail of at most b_l 3^-K 3/2
             share = h / total_len
             ratio = max([1.0] + [1.5 * bl / (max(tol, 4.0 * _EPS * bl) * share) for bl in b])
             K = max(1, int(np.ceil(np.log(ratio) / np.log(3.0))))
-            est[1 : top + 1] += b * 1.5 * 3.0**-K
+            est[1:] += b * 1.5 * 3.0**-K
 
-            # u_i(c + sigma H) H = sum_m A[i, m] sigma^m
-            m = np.arange(K)
-            A = np.zeros((len(terms), K), dtype=complex)
-            for i, (ts, ps) in enumerate(zip(terms, polys)):
-                for p, k, coef in ts:
-                    d = c - p
-                    binom = np.cumprod(np.r_[1.0, (k - 1 + m[1:]) / m[1:]])
-                    A[i] += coef * d ** -k * binom * (-H / d) ** m
+            if K not in tables:
+                m = np.arange(K)
+                lag = m[:, None] - 1 - m
+                ratios = (order[:, None] - 1 + m[1:]) / m[1:]
+                binom = np.cumprod(np.c_[np.ones(len(flat)), ratios], axis=1)
+                weight = (lag >= 0) / np.maximum(m, 1)[:, None]
+                tables[K] = m, np.maximum(lag, 0)[:, None, :], weight, binom
+            m, lag, weight, binom = tables[K]
+            # u_i(c + sigma H) H = sum_m A[i, m] sigma^m, where binom[t, m] is
+            # C(k - 1 + m, m) for the order k of term t
+            d = c - pole
+            A = of_letter @ ((coef * d**-order)[:, None] * binom * (-H / d)[:, None] ** m)
+            for i, ps in enumerate(polys):
                 if ps:
                     q = _shift_poly(ps, c)[:K]
                     A[i, : len(q)] += np.array(q) * H ** m[: len(q)]
             A *= H
-            # J[i] maps a series of <S|w> to that of <S|x_i w> - <S|x_i w>(c):
-            # the lower-Toeplitz product with A[i], integrated in sigma
-            lag = m[:, None] - 1 - m[None, :]
-            J = np.where(lag >= 0, A[:, np.maximum(lag, 0)], 0) / np.maximum(m, 1)[:, None]
+            # J[:, i] maps a series of <S|w> to that of <S|x_i w> - <S|x_i w>(c):
+            # the lower-Toeplitz product with A[i], integrated in sigma; as a
+            # (K L, K) matrix it takes a stratum to the next in one product
+            J = A[np.arange(L)[:, None], lag] * weight[:, None, :]
             prev = np.eye(K, 1, dtype=complex)  # the series of <S|1> = 1
-            for ln, stratum in enumerate(blocks, start=1):
-                if ln == top:
-                    for i, lo, hi, tails in stratum:
-                        y[lo:hi] += J[i].sum(axis=0) @ prev[:, tails]
-                    break
-                lo0 = starts[ln]
-                cur = np.empty((K, starts[ln + 1] - lo0), dtype=complex)
-                for i, lo, hi, tails in stratum:
-                    cur[:, lo - lo0 : hi - lo0] = J[i] @ prev[:, tails]
-                cur[0] = y[lo0 : starts[ln + 1]]
-                y[lo0 : starts[ln + 1]] = cur.sum(axis=0)
+            for ln in range(1, N):
+                lo, hi = starts[ln], starts[ln + 1]
+                cur = (J.reshape(K * L, K) @ prev).reshape(K, hi - lo)
+                cur[0] = y[lo:hi]
+                y[lo:hi] = cur.sum(axis=0)
                 prev = cur
+            if N:  # the top stratum is needed only at sigma = 1
+                y[starts[N] :] += (J.sum(axis=0) @ prev).ravel()
             t = seg_len if h >= seg_len - t else t + h
 
-    values = {w: complex(y[j]) for w, j in index.items()}  # y[0] = <S|1> = 1
+    values = dict(zip(M.alphabet.words_up_to(N), y.tolist()))  # <S|1> = 1
     estimates = {ln: float(e) for ln, e in enumerate(est)}
+    if degree_cap is not None:
+        values = {w: values[w] for w in M.alphabet.words_up_to(N, degree_cap)}
+        estimates = {ln: estimates[ln] for ln in sorted({len(w) for w in values})}
     return CoefficientTable(values, path.z0, path.z, N, estimates)
 
 
@@ -323,21 +316,37 @@ def grouplike_report(T: CoefficientTable):
     |<S|u><S|v> - <S|u shuffle v>|; (0.0, None) when no pair qualifies.
 
     The defect is symmetric in u and v, so each unordered pair is checked
-    once and reported with u first in graded lex order."""
+    once and reported with u first in graded lex order.  u shuffle v sums
+    the words carrying u on |u| of their positions and v on the rest
+    (Reutenauer, Free Lie Algebras); with words numbered in base L, the
+    codes of all of them are digit matrices times those positions' place
+    values.  Every word over the table's letters must be present (KeyError)."""
     N = T.truncation
-    vals = T.values
-    pos = [w for w in T.words() if w]
-    worst = 0.0
-    worst_pair = None
-    for a, u in enumerate(pos):
-        for v in pos[a:]:
-            if len(u) + len(v) > N:
-                break
-            rhs = sum(n * vals[w] for w, n in shuffle(u, v).items())
-            defect = abs(vals[u] * vals[v] - rhs)
-            if defect > worst:
-                worst = defect
-                worst_pair = (u, v)
+    L = 1 + max((w[0] for w in T.values if len(w) == 1), default=-1)
+    if N < 2 or not L:
+        return 0.0, None
+    # per length: values and base-L digits, indexed by code
+    val = [np.array([T.values[w] for w in product(range(L), repeat=ln)]) for ln in range(N + 1)]
+    digits = [(np.arange(L**ln)[:, None] // L ** np.arange(ln - 1, -1, -1)) % L for ln in range(N)]
+    worst, worst_pair = 0.0, None
+    for p in range(1, N // 2 + 1):
+        for q in range(p, N - p + 1):
+            # the C(p+q, p) position sets of u; v takes the rest
+            subsets = list(combinations(range(p + q), p))
+            rest = [[j for j in range(p + q) if j not in s] for s in subsets]
+            place = L ** np.arange(p + q - 1, -1, -1)
+            code_u = digits[p] @ place[np.array(subsets)].T  # (L^p, C)
+            code_v = digits[q] @ place[np.array(rest)].T  # (L^q, C)
+            chunk = max(1, (1 << 18) // code_v.size)  # u rows per temporary
+            for lo in range(0, len(code_u), chunk):
+                rhs = val[p + q][code_u[lo : lo + chunk, None, :] + code_v].sum(axis=-1)
+                defect = np.abs(val[p][lo : lo + chunk, None] * val[q] - rhs)
+                if p == q:
+                    defect = np.triu(defect, lo)  # only v at or after u
+                iu, iv = np.unravel_index(np.argmax(defect), defect.shape)
+                if defect[iu, iv] > worst:
+                    worst = float(defect[iu, iv])
+                    worst_pair = (Word(digits[p][lo + iu]), Word(digits[q][iv]))
     return worst, worst_pair
 
 

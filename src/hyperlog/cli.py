@@ -142,7 +142,7 @@ class ProblemConfig:
 def load_config(path: str) -> ProblemConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except yaml.YAMLError as exc:
@@ -259,17 +259,17 @@ def _require_config(args) -> ProblemConfig:
     return cfg
 
 
-def _cmd_shuffle(args) -> int:
-    if args.config:
-        alphabet = load_config(args.config).alphabet
-    else:
-        alphabet = _adhoc_alphabet([args.u, args.v])
+def _parse_words(args, texts):
+    """The alphabet of --config (else inferred from the texts) and the words."""
+    alphabet = load_config(args.config).alphabet if args.config else _adhoc_alphabet(texts)
     try:
-        u = alphabet.word(args.u)
-        v = alphabet.word(args.v)
+        return alphabet, [alphabet.word(t) for t in texts]
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise ConfigError(str(exc)) from None
+
+
+def _cmd_shuffle(args) -> int:
+    alphabet, (u, v) = _parse_words(args, [args.u, args.v])
     product = shuffle_product(NCPolynomial.monomial(u), NCPolynomial.monomial(v))
     lines = [
         f"{product.terms[w]} * {alphabet.format_word(w)}" for w in product.support()
@@ -279,15 +279,7 @@ def _cmd_shuffle(args) -> int:
 
 
 def _cmd_order(args) -> int:
-    if args.config:
-        alphabet = load_config(args.config).alphabet
-    else:
-        alphabet = _adhoc_alphabet(args.words)
-    try:
-        parsed = [alphabet.word(t) for t in args.words]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    alphabet, parsed = _parse_words(args, args.words)
     lines = [alphabet.format_word(w) for w in sorted(parsed)]
     _print(args.output, lines)
     return EXIT_OK
@@ -304,15 +296,18 @@ def _table_for_endpoint(cfg: ProblemConfig, z_text: str, N: int):
 def _cmd_eval(args) -> int:
     cfg = _require_config(args)
     table = _table_for_endpoint(cfg, args.z, cfg.truncation)
-    lines = []
-    for w in table.words():
-        val = table.values[w]
-        err = table.error_estimates.get(len(w), 0.0)
-        lines.append(
-            "\t".join(
-                [cfg.alphabet.format_word(w), _fmt(val.real), _fmt(val.imag), _fmt(err)]
-            )
-        )
+    # table.values runs in graded lex order, which inside each length is
+    # base-L numbering: every letter name ahead of every name one shorter
+    letters = [letter.name for letter in cfg.alphabet]
+    values = iter(table.values.values())
+    lines, names = [], ["1"]
+    for ln in range(table.truncation + 1):
+        if ln:
+            names = letters if ln == 1 else [f"{a}.{rest}" for a in letters for rest in names]
+        err = _fmt(table.error_estimates[ln])
+        lines += [
+            f"{name}\t{val.real:.15g}\t{val.imag:.15g}\t{err}" for name, val in zip(names, values)
+        ]
     _print(args.output, lines)
     return EXIT_OK
 
@@ -320,11 +315,8 @@ def _cmd_eval(args) -> int:
 def _cmd_grouplike(args) -> int:
     cfg = _require_config(args)
     table = _table_for_endpoint(cfg, args.z, cfg.truncation)
-    if args.corrupt:
-        for w in table.words():
-            if len(w) == 2:
-                table.values[w] += 0.1
-                break
+    if args.corrupt and cfg.truncation >= 2:
+        table.values[Word((0, 0))] += 0.1  # the first length-2 word
     defect, worst = grouplike_report(table)
     lines = [f"defect\t{_fmt(defect)}"]
     if worst is not None:

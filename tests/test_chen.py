@@ -1,4 +1,5 @@
 import cmath
+import math
 import random
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from hyperlog import (
     shuffle,
 )
 from hyperlog.cert import rational_coefficient_table
-from hyperlog.chen import _segment_distance
+from hyperlog.chen import CoefficientTable, _segment_distance
 from hyperlog.cli import load_config
 
 E = Word()
@@ -133,6 +134,20 @@ class TestEvalCoeffs:
         T = eval_coeffs(polylog_multiplier, path, 2, 1e-10, degree_cap={0: 1, 1: 1})
         assert X00 not in T
         assert X01 in T
+
+    @pytest.mark.parametrize("cap", [{0: 1, 1: 1}, {0: 3, 1: 1}, {1: 2}])
+    def test_degree_cap_restricts_full_table(self, polylog_multiplier, cap):
+        path = build_path(-1, 0.5 + 0.8j, [0j, 1 + 0j], 0.05)
+        full = eval_coeffs(polylog_multiplier, path, 4, 1e-12)
+        T = eval_coeffs(polylog_multiplier, path, 4, 1e-12, degree_cap=cap)
+        kept = polylog_multiplier.alphabet.words_up_to(4, cap)
+        assert T.values == {w: full.values[w] for w in kept}
+        assert T.error_estimates == {ln: full.error_estimates[ln] for ln in {len(w) for w in kept}}
+
+    def test_values_inserted_in_graded_order(self, polylog_multiplier):
+        path = build_path(-1, 0.5 + 0.8j, [0j, 1 + 0j], 0.05)
+        T = eval_coeffs(polylog_multiplier, path, 5, 1e-12)
+        assert list(T.values) == T.words()
 
     def test_bad_truncation(self, polylog_multiplier):
         path = build_path(0.5, 0.25, [0j, 1 + 0j], 0.1)
@@ -373,6 +388,41 @@ class TestGrouplike:
         assert sorted(pairw) == sorted(want_pair) and pairw[0] <= pairw[1]
         if corrupt != "none":
             assert defect > 1e-4
+
+    def test_two_letters_depth_seven_match_ordered_loop(self, polylog_multiplier):
+        path = build_path(-1, 0.5 + 0.8j, [0j, 1 + 0j], 0.05)
+        T = eval_coeffs(polylog_multiplier, path, 7, 1e-12)
+        rng = random.Random(11)
+        for w in rng.sample([w for w in T.words() if len(w) >= 2], 12):
+            T.values[w] += complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 1e-3
+        defect, pairw = grouplike_report(T)
+        want, want_pair = ordered_pair_report(T)
+        assert abs(defect - want) <= 1e-12 * want
+        assert sorted(pairw) == sorted(want_pair) and pairw[0] <= pairw[1]
+
+    def test_planted_pair_past_the_first_chunk(self):
+        # exp(a0 x0 + a1 x1 + a2 x2) is group-like: <S|w> = prod a_(w_k) / |w|!.
+        # At 3 letters and N = 8 the pairs of two length-4 words come in two
+        # chunks of u rows; bump the last u so only (u, u) has a large defect.
+        a = (0.5, -0.3j, 0.2 + 0.1j)
+        words = Alphabet(["a", "b", "c"]).words_up_to(8)
+        values = {w: np.prod([a[i] for i in w]) / math.factorial(len(w)) for w in words}
+        u = Word((2, 2, 2, 2))
+        values[u] += 100.0
+        T = CoefficientTable(values, 0j, 1j, 8)
+        defect, pairw = grouplike_report(T)
+        want = abs(values[u] ** 2 - sum(n * values[w] for w, n in shuffle(u, u).items()))
+        assert pairw == (u, u)
+        assert abs(defect - want) <= 1e-12 * want
+
+    def test_missing_word_raises(self, polylog_multiplier):
+        # x0 and x0.x1 are in the box, but x0 shuffle x0 = 2 x0.x0 is not
+        path = build_path(-1, 0.5 + 0.8j, [0j, 1 + 0j], 0.05)
+        T = eval_coeffs(polylog_multiplier, path, 3, 1e-12, degree_cap={0: 1, 1: 2})
+        with pytest.raises(KeyError):
+            grouplike_report(T)
+        with pytest.raises(KeyError):
+            ordered_pair_report(T)
 
     def test_clean_table(self, polylog_multiplier):
         path = build_path(0.5, 0.25, [0j, 1 + 0j], 0.1)

@@ -3,12 +3,35 @@ import re
 from pathlib import Path
 
 import pytest
+import yaml
 
-from hyperlog.cli import main
+from hyperlog.chen import build_path, eval_coeffs
+from hyperlog.cli import ProblemConfig, load_config, main
 
 ROOT = Path(__file__).resolve().parent.parent
 POLYLOG = str(ROOT / "configs" / "polylog.yaml")
 COUNTER = str(ROOT / "configs" / "counterexample.yaml")
+THREE_LETTERS = """\
+poles: ["0", "1", "-1"]
+letters:
+  - {name: x0, pole: "0", weight: "1"}
+  - {name: x1, pole: "1", weight: "-1"}
+  - {name: x2, pole: "-1", weight: "1"}
+basepoint: "1/2*i"
+tol: 1.0e-12
+margin: 0.05
+"""
+
+
+def per_word_tsv(cfg, table):
+    """Reference for `hyperlog eval`: the formatter that walked table.words()."""
+    lines = []
+    for w in table.words():
+        val = table.values[w]
+        err = table.error_estimates.get(len(w), 0.0)
+        fields = [cfg.alphabet.format_word(w), f"{val.real:.15g}", f"{val.imag:.15g}", f"{err:.15g}"]
+        lines.append("\t".join(fields))
+    return "\n".join(lines) + "\n"
 
 
 def run(capsys, *argv):
@@ -121,6 +144,22 @@ class TestEval:
         assert code == 3
         assert out == "" and "step size" in err
 
+    @pytest.mark.parametrize(
+        "three, N, z", [(False, 10, (0.5, 0.8)), (True, 6, (1.3, -0.2))], ids=["polylog", "three-letter"]
+    )
+    def test_tsv_matches_per_word_formatter(self, capsys, tmp_path, three, N, z):
+        config = POLYLOG
+        if three:
+            config = str(tmp_path / "three.yaml")
+            Path(config).write_text(THREE_LETTERS)
+        cfg = load_config(config)
+        path = build_path(complex(cfg.basepoint), complex(*z), cfg.pole_set.approx, cfg.margin)
+        want = per_word_tsv(cfg, eval_coeffs(cfg.multiplier, path, N, cfg.tol))
+        code, out, _ = run(capsys, "eval", "--config", config, "--z", "%r,%r" % z, "--N", str(N))
+        assert code == 0
+        assert out == want
+        assert len(out.splitlines()) == sum(len(cfg.alphabet) ** n for n in range(N + 1))
+
     def test_missing_z(self, capsys):
         code, _, _ = run(capsys, "eval", "--config", POLYLOG)
         assert code == 2
@@ -220,6 +259,21 @@ class TestParsing:
         bad.write_text("letters: [\n")
         code, _, err = run(capsys, "certify", "--config", str(bad))
         assert code == 2
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("name", ["polylog.yaml", "counterexample.yaml"])
+    def test_libyaml_and_python_loaders_agree(self, name):
+        def fields(cfg):
+            return (
+                cfg.alphabet, cfg.pole_set, cfg.multiplier.terms, cfg.basepoint, cfg.truncation,
+                cfg.tol, cfg.margin, cfg.seed, cfg.samples, cfg.relation_tol,
+            )
+
+        path = ROOT / "configs" / name
+        text = path.read_text()
+        want = fields(ProblemConfig(yaml.load(text, Loader=yaml.SafeLoader)))
+        assert fields(ProblemConfig(yaml.load(text, Loader=yaml.CSafeLoader))) == want
+        assert fields(load_config(str(path))) == want
 
     def test_config_validation(self, capsys, tmp_path):
         bad = tmp_path / "bad.yaml"

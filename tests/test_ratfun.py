@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hyperlog import (
     GaussianRational,
@@ -20,6 +22,23 @@ from hyperlog import (
 from conftest import random_gaussian, random_plr, random_pole_set
 
 PLR = PoleLocalizedRational
+
+small_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+gaussians = st.builds(GaussianRational, small_fractions, small_fractions)
+
+
+@st.composite
+def plr_triples(draw):
+    """Three elements over one pole set of 1-3 points: polynomial degree
+    <= 3, principal-part orders <= 3 (as conftest.random_plr draws them)."""
+    ps = PoleSet(draw(st.lists(gaussians, min_size=1, max_size=3, unique=True)))
+    keys = st.tuples(st.integers(0, len(ps) - 1), st.integers(1, 3))
+    element = st.builds(
+        lambda poly, pp: PLR(ps, poly, pp),
+        st.lists(gaussians, max_size=4),
+        st.dictionaries(keys, gaussians, max_size=3),
+    )
+    return draw(element), draw(element), draw(element)
 
 
 @pytest.fixture()
@@ -57,6 +76,28 @@ class TestGaussianRational:
         for _ in range(200):
             q = random_gaussian(rng)
             assert parse_gaussian(format_gaussian(q)) == q
+
+
+class TestFieldLaws:
+    @given(gaussians, gaussians, gaussians)
+    def test_gaussian_field_laws(self, a, b, c):
+        assert a + b == b + a and a * b == b * a
+        assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a + (-a) == 0 and (a - b) + b == a
+
+    @given(gaussians.filter(bool))
+    def test_gaussian_inverse(self, a):
+        assert a * (1 / a) == 1 and a / a == 1
+
+    @given(plr_triples())
+    def test_plr_ring_laws(self, fgh):
+        # multiplication's commutativity and associativity: TestMul.test_assoc_comm
+        f, g, h = fgh
+        assert f + g == g + f
+        assert (f + g) + h == f + (g + h)
+        assert f * (g + h) == f * g + f * h
+        assert (f + (-f)).is_zero and (f - g) + g == f
 
 
 class TestPoleSet:
@@ -117,13 +158,11 @@ class TestMul:
                     continue
                 assert prod.evaluate_exact(z) == f.evaluate_exact(z) * g.evaluate_exact(z)
 
-    def test_assoc_comm(self):
-        rng = random.Random(7)
-        for _ in range(30):
-            ps = random_pole_set(rng)
-            f, g, h = (random_plr(rng, ps) for _ in range(3))
-            assert f * g == g * f
-            assert (f * g) * h == f * (g * h)
+    @given(plr_triples())
+    def test_assoc_comm(self, fgh):
+        f, g, h = fgh
+        assert f * g == g * f
+        assert (f * g) * h == f * (g * h)
 
 
 class TestCalculus:
