@@ -37,7 +37,7 @@ from .ratfun import (
     parse_gaussian,
     parse_plr,
 )
-from .words import Alphabet, Word
+from .words import Alphabet
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -296,18 +296,13 @@ def _table_for_endpoint(cfg: ProblemConfig, z_text: str, N: int):
 def _cmd_eval(args) -> int:
     cfg = _require_config(args)
     table = _table_for_endpoint(cfg, args.z, cfg.truncation)
-    # table.values runs in graded lex order, which inside each length is
-    # base-L numbering: every letter name ahead of every name one shorter
-    letters = [letter.name for letter in cfg.alphabet]
-    values = iter(table.values.values())
-    lines, names = [], ["1"]
-    for ln in range(table.truncation + 1):
-        if ln:
-            names = letters if ln == 1 else [f"{a}.{rest}" for a in letters for rest in names]
-        err = _fmt(table.error_estimates[ln])
-        lines += [
-            f"{name}\t{val.real:.15g}\t{val.imag:.15g}\t{err}" for name, val in zip(names, values)
-        ]
+    # eval_coeffs inserts table.values in words_up_to order, as names_up_to spells them
+    errs = {ln: _fmt(e) for ln, e in table.error_estimates.items()}
+    names = cfg.alphabet.names_up_to(table.truncation)
+    lines = [
+        f"{name}\t{_fmt(val.real)}\t{_fmt(val.imag)}\t{errs[len(w)]}"
+        for name, (w, val) in zip(names, table.values.items(), strict=True)
+    ]
     _print(args.output, lines)
     return EXIT_OK
 
@@ -316,7 +311,7 @@ def _cmd_grouplike(args) -> int:
     cfg = _require_config(args)
     table = _table_for_endpoint(cfg, args.z, cfg.truncation)
     if args.corrupt and cfg.truncation >= 2:
-        table.values[Word((0, 0))] += 0.1  # the first length-2 word
+        table.values[next(cfg.alphabet.words_of_length(2))] += 0.1
     defect, worst = grouplike_report(table)
     lines = [f"defect\t{_fmt(defect)}"]
     if worst is not None:

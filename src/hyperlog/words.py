@@ -101,6 +101,16 @@ class Alphabet:
             return "1"
         return ".".join(self.letters[i].name for i in w)
 
+    def names_up_to(self, n: int) -> list[str]:
+        """``format_word`` of each word of ``words_up_to(n)``, in that order:
+        length l puts every letter name ahead of every name of length l-1."""
+        letters = [l.name for l in self.letters]
+        out, names = ["1"], [""]
+        for _ in range(n):
+            names = [f"{a}.{rest}" if rest else a for a in letters for rest in names]
+            out += names
+        return out
+
     def words_of_length(self, n: int) -> Iterator[Word]:
         """Length-n words in ascending (graded) lex order."""
         # product yields tuples of ints already; skip Word's per-letter int()

@@ -73,6 +73,12 @@ class TestOrdering:
         # transitivity via sortedness of the enumeration order
         assert words == sorted(words)
 
+    @pytest.mark.parametrize("letters", [["x0"], ["x0", "x1"], ["a", "b", "c"]])
+    def test_names_follow_words_up_to(self, letters):
+        a = Alphabet(letters)
+        for n in range(5):
+            assert a.names_up_to(n) == [a.format_word(w) for w in a.words_up_to(n)]
+
     def test_rejects_foreign_words(self):
         a = Alphabet(["a", "b"])
         with pytest.raises(ValueError):
