@@ -3,14 +3,16 @@ along pole-avoiding polylines, for the regular-at-z0 solution of d(S) = MS.
 
 The coefficient family solves the lower-triangular linear system
 d<S|x_i w>/dz = u_i(z) <S|w> with <S|1> = 1 and all positive-length
-coefficients vanishing at the basepoint.  Each step expands the multipliers
-in Taylor series about a centre c on the path, over a quarter of the distance
-from c to the nearest pole that carries a term (less where the multipliers
-are large), and integrates the series of length-l words from those of length
-l-1.  The series order comes from a Cauchy bound on the circle of three
-times the step, where integrating the system along rays from c bounds the
-coefficients; the tail bounds are summed per length stratum as the error
-estimate (in the style of Vollinga & Weinzierl, hep-ph/0410259).
+coefficients vanishing at the basepoint.  The coefficients are analytic off
+the poles, so each step expands the multipliers in Taylor series about its
+midpoint c and uses the series on both sides of c: a step of 2h, where c
+stays 4h from every pole that carries a term (less where the multipliers are
+large), integrates the series of length-l words from those of length l-1.
+The series order comes from a Cauchy bound on the circle of three times h
+about c, where integrating the system from the step's start (at most 4h
+away) bounds the coefficients; the tail bounds at both ends of every step
+are summed per length stratum as the error estimate (in the style of
+Vollinga & Weinzierl, hep-ph/0410259).
 """
 
 from __future__ import annotations
@@ -163,6 +165,7 @@ class CoefficientTable:
     z: complex
     truncation: int
     error_estimates: dict = field(default_factory=dict)
+    steps: int = 0  # series steps taken along the path
 
     def __getitem__(self, w) -> complex:
         return self.values[Word(w)]
@@ -198,20 +201,15 @@ def _max_on_circle(terms, polys, c: complex, r: float) -> float:
     )
 
 
-def eval_coeffs(
-    M: Multiplier,
-    path: PathSpec,
-    N: int,
-    tol: float,
-    degree_cap=None,
-) -> CoefficientTable:
+def eval_coeffs(M: Multiplier, path: PathSpec, N: int, tol: float) -> CoefficientTable:
     """Propagate the truncated coefficient system along the path by Taylor
-    series.
+    series, each centred mid-step and used on both sides of its centre.
 
     ``tol`` is the absolute error target per coefficient over the whole
-    path; ``error_estimates[l]`` is the summed Cauchy bound on the series
-    tails of length-l words.  The optional ``degree_cap`` keeps only the
-    words inside a multidegree box (and the estimates of their lengths).
+    path; ``error_estimates[l]`` sums over the steps the Cauchy bound on
+    the series tails of length-l words at both ends of the step, with the
+    words bounded on the circle of 3h about the centre by integrating from
+    the step's start (at most 4h away); ``steps`` counts the steps.
     """
     if not isinstance(N, int) or N < 0:
         raise TruncationError(f"truncation must be a nonnegative integer, got {N!r}")
@@ -235,10 +233,11 @@ def eval_coeffs(
     letter, order = np.array([f[:2] for f in flat], dtype=int).reshape(-1, 2).T
     pole, coef = np.array([f[2:] for f in flat], dtype=complex).reshape(-1, 2).T
     of_letter = (letter == np.arange(L)[:, None]).astype(complex)
-    tables = {}  # K -> (m, lag index, integration weights, binomial rows)
+    tables = {}  # K -> (m, lag index, integration weights, binomial rows, signs)
     y = np.zeros(starts[-1], dtype=complex)
     y[0] = 1.0
     est = np.zeros(N + 1)
+    steps = 0
     total_len = path.length()
 
     for a, b in path.segments():
@@ -246,30 +245,41 @@ def eval_coeffs(
         dhat = (b - a) / seg_len
         t = 0.0
         while t < seg_len:
-            c = a + dhat * t
-            h = min(seg_len - t, float(np.abs(c - pole).min(initial=np.inf)) / 4.0)
-            # U bounds |u_i| on the circle |s| = 2h.  Shrinking h until
-            # 2hU <= 1 keeps the bound b_l (below) near the values themselves
-            # (U only falls as the circle shrinks, so 0.5/U is always enough).
-            U = _max_on_circle(terms, polys, c, 2.0 * h)
+            start = a + dhat * t
+            # the step runs from start to start + 2H about c = start + H,
+            # h = |H|; dist(c, p) >= 4h is 15h^2 - 2 beta h - |q|^2 <= 0
+            # with q = start - p, beta = Re(q conj(dhat)), so it holds for
+            # every h up to the positive root (and the disc |s| <= 3h about
+            # c stays h from every pole that carries a term)
+            q = start - pole
+            beta = (q * dhat.conjugate()).real
+            h_pole = (beta + np.sqrt(beta**2 + 15.0 * np.abs(q) ** 2)) / 15.0
+            h = min((seg_len - t) / 2.0, float(h_pole.min(initial=np.inf)))
+            # U bounds |u_i| on the circle |s| = 2h about c.  Shrinking h
+            # until 2hU <= 1 keeps the bound b_l (below) near the values
+            # themselves (U only falls as h shrinks, so 0.5/U is enough).
+            U = _max_on_circle(terms, polys, start + dhat * h, 2.0 * h)
             while 2.0 * h * U > 1.0:
                 h = max(h / 2.0, 0.5 / U)
-                U = _max_on_circle(terms, polys, c, 2.0 * h)
-            if h < min(seg_len * 1e-14, seg_len - t):
-                raise StepSizeUnderflowError(f"step size {h:.3g} underflows at {c}")
+                U = _max_on_circle(terms, polys, start + dhat * h, 2.0 * h)
+            if h < min(seg_len * 1e-14, (seg_len - t) / 2.0):
+                raise StepSizeUnderflowError(f"step size {h:.3g} underflows at {start}")
             H = dhat * h
-            # Integrating d y_(x_i w) = u_i y_w along rays from c bounds
-            # |y_w| on the disc |s| <= 3h (still h from every pole) by
-            # b_l = sum_j Y_(l-j) (3h U_r)^j / j!, Y_l = max |y_w(c)|.
-            x = 3.0 * h * _max_on_circle(terms, polys, c, 3.0 * h)
+            c = start + H
+            # Every point of the disc |s| <= 3h about c is within 4h of
+            # start along a line inside the disc, so integrating
+            # d y_(x_i w) = u_i y_w from start bounds |y_w| there by
+            # b_l = sum_j Y_(l-j) (4h U_r)^j / j!, Y_l = max |y_w(start)|.
+            x = 4.0 * h * _max_on_circle(terms, polys, c, 3.0 * h)
             Y = np.maximum.reduceat(np.abs(y), starts[:-1])
             b = np.convolve(Y, [x**j / factorial(j) for j in range(N + 1)])[1 : N + 1]
             # the sigma-scaled coefficients are bounded by b_l 3^-m, so K
-            # terms leave a tail of at most b_l 3^-K 3/2
-            share = h / total_len
-            ratio = max([1.0] + [1.5 * bl / (max(tol, 4.0 * _EPS * bl) * share) for bl in b])
+            # terms leave a tail of at most b_l 3^-K 3/2 at each end
+            share = 2.0 * h / total_len
+            ratio = max([1.0] + [3.0 * bl / (max(tol, 4.0 * _EPS * bl) * share) for bl in b])
             K = max(1, int(np.ceil(np.log(ratio) / np.log(3.0))))
-            est[1:] += b * 1.5 * 3.0**-K
+            est[1:] += b * 3.0 * 3.0**-K
+            steps += 1
 
             if K not in tables:
                 m = np.arange(K)
@@ -277,16 +287,17 @@ def eval_coeffs(
                 ratios = (order[:, None] - 1 + m[1:]) / m[1:]
                 binom = np.cumprod(np.c_[np.ones(len(flat)), ratios], axis=1)
                 weight = (lag >= 0) / np.maximum(m, 1)[:, None]
-                tables[K] = m, np.maximum(lag, 0)[:, None, :], weight, binom
-            m, lag, weight, binom = tables[K]
+                sign = (-1.0) ** m
+                tables[K] = m, np.maximum(lag, 0)[:, None, :], weight, binom, sign
+            m, lag, weight, binom, sign = tables[K]
             # u_i(c + sigma H) H = sum_m A[i, m] sigma^m, where binom[t, m] is
             # C(k - 1 + m, m) for the order k of term t
             d = c - pole
             A = of_letter @ ((coef * d**-order)[:, None] * binom * (-H / d)[:, None] ** m)
             for i, ps in enumerate(polys):
                 if ps:
-                    q = _shift_poly(ps, c)[:K]
-                    A[i, : len(q)] += np.array(q) * H ** m[: len(q)]
+                    qs = _shift_poly(ps, c)[:K]
+                    A[i, : len(qs)] += np.array(qs) * H ** m[: len(qs)]
             A *= H
             # J[:, i] maps a series of <S|w> to that of <S|x_i w> - <S|x_i w>(c):
             # the lower-Toeplitz product with A[i], integrated in sigma; as a
@@ -296,19 +307,16 @@ def eval_coeffs(
             for ln in range(1, N):
                 lo, hi = starts[ln], starts[ln + 1]
                 cur = (J.reshape(K * L, K) @ prev).reshape(K, hi - lo)
-                cur[0] = y[lo:hi]
+                cur[0] = y[lo:hi] - sign @ cur  # the value at c, from sigma = -1
                 y[lo:hi] = cur.sum(axis=0)
                 prev = cur
-            if N:  # the top stratum is needed only at sigma = 1
-                y[starts[N] :] += (J.sum(axis=0) @ prev).ravel()
-            t = seg_len if h >= seg_len - t else t + h
+            if N:  # the top stratum is needed only at sigma = -1 and 1
+                y[starts[N] :] += (((1.0 - sign) @ J.reshape(K, -1)).reshape(L, K) @ prev).ravel()
+            t = seg_len if 2.0 * h >= seg_len - t else t + 2.0 * h
 
     values = dict(zip(M.alphabet.words_up_to(N), y.tolist()))  # <S|1> = 1
     estimates = {ln: float(e) for ln, e in enumerate(est)}
-    if degree_cap is not None:
-        values = {w: values[w] for w in M.alphabet.words_up_to(N, degree_cap)}
-        estimates = {ln: estimates[ln] for ln in sorted({len(w) for w in values})}
-    return CoefficientTable(values, path.z0, path.z, N, estimates)
+    return CoefficientTable(values, path.z0, path.z, N, estimates, steps)
 
 
 def grouplike_report(T: CoefficientTable):

@@ -245,6 +245,9 @@ def _build_argparser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_argparser()  # parse_args keeps no state between calls
+
+
 def _require_config(args) -> ProblemConfig:
     if not args.config:
         raise ConfigError("this command needs --config")
@@ -300,7 +303,7 @@ def _cmd_eval(args) -> int:
     errs = {ln: _fmt(e) for ln, e in table.error_estimates.items()}
     names = cfg.alphabet.names_up_to(table.truncation)
     lines = [
-        f"{name}\t{_fmt(val.real)}\t{_fmt(val.imag)}\t{errs[len(w)]}"
+        "%s\t%.15g\t%.15g\t%s" % (name, val.real, val.imag, errs[len(w)])
         for name, (w, val) in zip(names, table.values.items(), strict=True)
     ]
     _print(args.output, lines)
@@ -386,9 +389,8 @@ def _join_negative_values(argv):
 
 
 def main(argv=None) -> int:
-    parser = _build_argparser()
     try:
-        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+        args = _PARSER.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

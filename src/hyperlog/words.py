@@ -117,18 +117,9 @@ class Alphabet:
         for combo in itertools.product(range(len(self.letters)), repeat=n):
             yield tuple.__new__(Word, combo)
 
-    def words_up_to(self, n: int, degree_cap=None) -> list[Word]:
-        """All words of length <= n, graded lex ascending; ``degree_cap``
-        (letter index -> max count) keeps only words inside that multidegree."""
-        out = []
-        for ln in range(n + 1):
-            for w in self.words_of_length(ln):
-                if degree_cap is not None:
-                    counts = Counter(w)
-                    if any(counts[i] > degree_cap.get(i, 0) for i in counts):
-                        continue
-                out.append(w)
-        return out
+    def words_up_to(self, n: int) -> list[Word]:
+        """All words of length <= n, graded lex ascending."""
+        return [w for ln in range(n + 1) for w in self.words_of_length(ln)]
 
 
 def graded_lex_key(w: Word):

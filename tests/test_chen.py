@@ -89,6 +89,7 @@ class TestBuildPath:
         T = eval_coeffs(polylog_multiplier, path, 2, 1e-12)
         assert T[E] == 1.0
         assert all(T[w] == 0.0 for w in T.words() if len(w) >= 1)
+        assert T.steps == 0
 
     def test_endpoint_too_close(self):
         with pytest.raises(PathGeometryError):
@@ -129,20 +130,28 @@ class TestEvalCoeffs:
         assert len(T.values) == 1 + 2 + 4 + 8
         assert set(T.error_estimates) == {0, 1, 2, 3}
 
-    def test_degree_cap(self, polylog_multiplier):
-        path = build_path(0.5, 0.25, [0j, 1 + 0j], 0.1)
-        T = eval_coeffs(polylog_multiplier, path, 2, 1e-10, degree_cap={0: 1, 1: 1})
-        assert X00 not in T
-        assert X01 in T
+    @pytest.mark.parametrize(
+        "z, steps", [(0.5 + 0.8j, 6), (-0.15, 4)], ids=["straight", "aimed-at-pole"]
+    )
+    def test_steps_on_fixed_paths(self, polylog_multiplier, z, steps):
+        # the path of configs/polylog.yaml from its basepoint -1: a straight
+        # segment clear of both poles, and one aimed at pole 0 that ends
+        # three margins from it; a change to the step rule moves these
+        path = build_path(-1, z, [0j, 1 + 0j], 0.05)
+        assert len(path.waypoints) == 2
+        assert eval_coeffs(polylog_multiplier, path, 4, 1e-12).steps == steps
 
-    @pytest.mark.parametrize("cap", [{0: 1, 1: 1}, {0: 3, 1: 1}, {1: 2}])
-    def test_degree_cap_restricts_full_table(self, polylog_multiplier, cap):
-        path = build_path(-1, 0.5 + 0.8j, [0j, 1 + 0j], 0.05)
-        full = eval_coeffs(polylog_multiplier, path, 4, 1e-12)
-        T = eval_coeffs(polylog_multiplier, path, 4, 1e-12, degree_cap=cap)
-        kept = polylog_multiplier.alphabet.words_up_to(4, cap)
-        assert T.values == {w: full.values[w] for w in kept}
-        assert T.error_estimates == {ln: full.error_estimates[ln] for ln in {len(w) for w in kept}}
+    def test_segment_shorter_than_first_step_ends_on_z(self, polylog_multiplier):
+        # pole 0 alone would allow a step of 1/3 about the centre; the step
+        # is cut to the segment, and the values are those at z exactly
+        tol = 1e-12
+        z0, z = -1.0, -1.01
+        T = eval_coeffs(polylog_multiplier, build_path(z0, z, [0j, 1 + 0j], 0.05), 3, tol)
+        assert T.steps == 1
+        L0, L1 = cmath.log(z / z0), -cmath.log((z - 1) / (z0 - 1))
+        want = {X0: L0, X1: L1, X00: L0**2 / 2, Word((1, 1, 1)): L1**3 / 6}
+        for w, value in want.items():
+            assert abs(T[w] - value) <= tol, w
 
     def test_values_inserted_in_graded_order(self, polylog_multiplier):
         path = build_path(-1, 0.5 + 0.8j, [0j, 1 + 0j], 0.05)
@@ -321,8 +330,21 @@ class TestMpmathOracle:
 
     @pytest.mark.parametrize("z", [0.5 + 0.8j, 0.5 - 0.01j])
     def test_polylog_words_within_estimates(self, z):
+        self.check(-1, z)
+
+    @pytest.mark.parametrize(
+        "z0, z", [(-1, -0.1 + 0.05j), (-0.08, -1.5)], ids=["near-pole-endpoint", "away-from-pole"]
+    )
+    def test_two_sided_steps_within_estimates(self, z0, z):
+        # a straight path that ends 2.2 margins from pole 0, and one that
+        # starts 1.6 margins from it and heads straight away, where the
+        # first steps reach dist/3 about their centres
+        self.check(z0, z)
+
+    @staticmethod
+    def check(z0, z):
         cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "polylog.yaml"))
-        path = build_path(complex(cfg.basepoint), z, cfg.pole_set.approx, cfg.margin)
+        path = build_path(z0, z, cfg.pole_set.approx, cfg.margin)
         T = eval_coeffs(cfg.multiplier, path, 4, cfg.tol)
         with mp.workdps(30):
             letters = [(mp.mpf(0), 1), (mp.mpf(1), -1)]  # u0 = 1/z, u1 = 1/(1-z)
@@ -416,9 +438,10 @@ class TestGrouplike:
         assert abs(defect - want) <= 1e-12 * want
 
     def test_missing_word_raises(self, polylog_multiplier):
-        # x0 and x0.x1 are in the box, but x0 shuffle x0 = 2 x0.x0 is not
+        # x0 stays, but x0 shuffle x0 = 2 x0.x0 is gone
         path = build_path(-1, 0.5 + 0.8j, [0j, 1 + 0j], 0.05)
-        T = eval_coeffs(polylog_multiplier, path, 3, 1e-12, degree_cap={0: 1, 1: 2})
+        T = eval_coeffs(polylog_multiplier, path, 3, 1e-12)
+        del T.values[X00]
         with pytest.raises(KeyError):
             grouplike_report(T)
         with pytest.raises(KeyError):

@@ -254,6 +254,19 @@ class TestParsing:
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 
+    def test_interleaved_calls_share_no_state(self, capsys):
+        # the parser is built once per process; each call starts afresh
+        gl = ("grouplike", "--config", POLYLOG, "--z0", "1/2", "--z", "0.25")
+        ev = ("eval", "--config", POLYLOG, "--z", "0.5,0.01", "--N", "3")
+        assert run(capsys, "eval", "--config", POLYLOG, "--z", "0.5", "--bogus")[0] == 2
+        assert run(capsys, *gl, "--corrupt")[0] == 11
+        code, out, _ = run(capsys, *gl)
+        assert code == 0 and float(out.splitlines()[0].split("\t")[1]) < 1e-9
+        code, first, _ = run(capsys, *ev)
+        assert code == 0 and first
+        assert run(capsys, "frobnicate")[0] == 2
+        assert run(capsys, *ev) == (0, first, "")
+
     def test_bad_config_yaml(self, capsys, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("letters: [\n")

@@ -216,9 +216,3 @@ class TestAlphabet:
         words = a.words_up_to(3)
         assert len(words) == 1 + 3 + 9 + 27
         assert words == sorted(words)
-
-    def test_words_up_to_degree_cap(self):
-        a = Alphabet(["a", "b"])
-        words = a.words_up_to(2, degree_cap={0: 1, 1: 1})
-        assert Word((0, 0)) not in words
-        assert Word((0, 1)) in words and Word((1, 0)) in words
