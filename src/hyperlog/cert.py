@@ -313,7 +313,7 @@ def sample_matrix(
     for r, zc in enumerate(points):
         path = build_path(z0c, zc, M.pole_set.approx, margin)
         T = eval_coeffs(M, path, N, eval_tol)
-        A[r, :] = [T[w] for w in word_list]
+        A[r, :] = T.coeffs
     return A, word_list
 
 

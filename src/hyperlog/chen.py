@@ -7,24 +7,29 @@ coefficients vanishing at the basepoint.  The coefficients are analytic off
 the poles, so each step expands the multipliers in Taylor series about its
 midpoint c and uses the series on both sides of c: a step of 2h, where c
 stays 4h from every pole that carries a term (less where the multipliers are
-large), integrates the series of length-l words from those of length l-1.
-The series order comes from a Cauchy bound on the circle of three times h
-about c, where integrating the system from the step's start (at most 4h
-away) bounds the coefficients; the tail bounds at both ends of every step
-are summed per length stratum as the error estimate (in the style of
-Vollinga & Weinzierl, hep-ph/0410259).
+large), integrates the series of length-l words from those of length l-1
+for l up to N // 2.  Longer words need only their values at the step's
+end, which Chen's lemma gives: the series at the end of the step is the
+step's own series times the series at its start (K.-T. Chen, "Iterated path
+integrals", Bull. AMS 83, 1977).  The series order comes from a Cauchy bound
+on the circle of three times h about c, where integrating the system from
+the step's start (at most 4h away) bounds the coefficients; the tail bounds
+at both ends of every step are summed per length stratum as the error
+estimate (in the style of Vollinga & Weinzierl, hep-ph/0410259).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import combinations, product
-from math import factorial
+from functools import lru_cache
+from itertools import combinations
+from math import ceil, factorial, log, sqrt
 
 import numpy as np
 
 from .ncalg import Multiplier
-from .words import Word, graded_lex_key
+from .words import Word, graded_position, graded_starts, graded_words
 from .words import shuffle  # noqa: F401  (hyperbench/tracing.py wraps chen.shuffle)
 
 
@@ -153,31 +158,70 @@ def _clear_segment(a, b, poles, margin, depth):
     return left[:-1] + right
 
 
-@dataclass
+class WordValues(Mapping):
+    """Word-keyed view of a table's array: ``len`` without a word list, and
+    entries that can be written (to plant a defect, say)."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table):
+        self._table = table
+
+    def __getitem__(self, w) -> complex:
+        return self._table[w]
+
+    def __setitem__(self, w, value) -> None:
+        self._table.coeffs[self._table.position(w)] = value
+
+    def __len__(self) -> int:
+        return len(self._table.coeffs)
+
+    def __iter__(self):
+        return iter(self._table.words())
+
+
+@dataclass(eq=False)  # compare tables through their coeffs arrays
 class CoefficientTable:
     """Values of <S|w> at the path endpoint for all |w| <= truncation.
 
-    ``eval_coeffs`` inserts ``values`` in graded lex order, so iterating the
-    dict walks the words as ``words()`` lists them."""
+    ``coeffs`` holds them in graded lex order over ``letters`` letters, which
+    is bijective base-L numbering (``words.graded_position``); ``values`` is
+    a word-keyed view of it.  A table whose array is short of a word raises
+    KeyError where that word is read."""
 
-    values: dict
+    coeffs: np.ndarray
+    letters: int
     z0: complex
     z: complex
     truncation: int
     error_estimates: dict = field(default_factory=dict)
     steps: int = 0  # series steps taken along the path
 
+    @property
+    def values(self) -> WordValues:
+        return WordValues(self)
+
+    def position(self, w) -> int:
+        """Index of w in ``coeffs``; KeyError when the table lacks it."""
+        w = Word(w)
+        code = graded_position(w, self.letters)
+        if len(w) > self.truncation or code >= len(self.coeffs) or not all(
+            0 <= i < self.letters for i in w
+        ):
+            raise KeyError(w)
+        return code
+
     def __getitem__(self, w) -> complex:
-        return self.values[Word(w)]
+        return complex(self.coeffs[self.position(w)])
 
     def get(self, w, default=None):
-        return self.values.get(Word(w), default)
+        return self.values.get(w, default)
 
     def __contains__(self, w):
-        return Word(w) in self.values
+        return w in self.values
 
     def words(self) -> list[Word]:
-        return sorted(self.values, key=graded_lex_key)
+        return graded_words(self.letters, self.truncation)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -201,9 +245,29 @@ def _max_on_circle(terms, polys, c: complex, r: float) -> float:
     )
 
 
+@lru_cache(maxsize=256)
+def _series_tables(K: int, orders: tuple):
+    """For series order K and the pole orders of the terms: the powers m,
+    the integration weights 1/m (1 at m = 0) shaped to scale rows, the rows
+    C(k - 1 + m, m) per term of order k, and the signs (-1)^m."""
+    m = np.arange(K)
+    ratios = (np.array(orders, dtype=float)[:, None] - 1 + m[1:]) / m[1:]
+    binom = np.cumprod(np.c_[np.ones(len(orders)), ratios], axis=1)
+    out = m, 1.0 / np.maximum(m, 1)[:, None, None], binom, (-1.0) ** m
+    for arr in out:  # shared by every call that hits the cache
+        arr.flags.writeable = False
+    return out
+
+
 def eval_coeffs(M: Multiplier, path: PathSpec, N: int, tol: float) -> CoefficientTable:
     """Propagate the truncated coefficient system along the path by Taylor
     series, each centred mid-step and used on both sides of its centre.
+
+    Each step carries the series of the words up to length N // 2; a
+    longer word uv, |v| = N // 2, gets its value at the step's end as the
+    sum over its splits of the step's own coefficient of the left part
+    times the start value of the right part, where the splits that cut v
+    are one kernel row for u applied to the series of v.
 
     ``tol`` is the absolute error target per coefficient over the whole
     path; ``error_estimates[l]`` sums over the steps the Cauchy bound on
@@ -220,7 +284,8 @@ def eval_coeffs(M: Multiplier, path: PathSpec, N: int, tol: float) -> Coefficien
     # graded lex order over L letters is base-L numbering: stratum l starts
     # at sum_(k<l) L^k, and x_i w sits at i L^(l-1) plus w's place in l-1
     L = len(M.alphabet)
-    starts = np.cumsum([0] + [L**ln for ln in range(N + 1)]).tolist()
+    starts = graded_starts(L, N)
+    mid = N // 2
     # per letter: principal-part terms (pole, order, coefficient) and the
     # polynomial part, as complex numbers; the terms also as flat arrays
     us = [M.terms[i] for i in range(L)]
@@ -232,8 +297,9 @@ def eval_coeffs(M: Multiplier, path: PathSpec, N: int, tol: float) -> Coefficien
     flat = [(i, k, p, a) for i, ts in enumerate(terms) for p, k, a in ts]
     letter, order = np.array([f[:2] for f in flat], dtype=int).reshape(-1, 2).T
     pole, coef = np.array([f[2:] for f in flat], dtype=complex).reshape(-1, 2).T
+    orders = tuple(order.tolist())
+    term_poles = list(dict.fromkeys(f[2] for f in flat))
     of_letter = (letter == np.arange(L)[:, None]).astype(complex)
-    tables = {}  # K -> (m, lag index, integration weights, binomial rows, signs)
     y = np.zeros(starts[-1], dtype=complex)
     y[0] = 1.0
     est = np.zeros(N + 1)
@@ -251,10 +317,12 @@ def eval_coeffs(M: Multiplier, path: PathSpec, N: int, tol: float) -> Coefficien
             # with q = start - p, beta = Re(q conj(dhat)), so it holds for
             # every h up to the positive root (and the disc |s| <= 3h about
             # c stays h from every pole that carries a term)
-            q = start - pole
-            beta = (q * dhat.conjugate()).real
-            h_pole = (beta + np.sqrt(beta**2 + 15.0 * np.abs(q) ** 2)) / 15.0
-            h = min((seg_len - t) / 2.0, float(h_pole.min(initial=np.inf)))
+            h = (seg_len - t) / 2.0
+            for p in term_poles:
+                q = start - p
+                beta = (q * dhat.conjugate()).real
+                aq = abs(q)
+                h = min(h, (beta + sqrt(beta * beta + 15.0 * (aq * aq))) / 15.0)
             # U bounds |u_i| on the circle |s| = 2h about c.  Shrinking h
             # until 2hU <= 1 keeps the bound b_l (below) near the values
             # themselves (U only falls as h shrinks, so 0.5/U is enough).
@@ -276,47 +344,60 @@ def eval_coeffs(M: Multiplier, path: PathSpec, N: int, tol: float) -> Coefficien
             # the sigma-scaled coefficients are bounded by b_l 3^-m, so K
             # terms leave a tail of at most b_l 3^-K 3/2 at each end
             share = 2.0 * h / total_len
-            ratio = max([1.0] + [3.0 * bl / (max(tol, 4.0 * _EPS * bl) * share) for bl in b])
-            K = max(1, int(np.ceil(np.log(ratio) / np.log(3.0))))
+            ratio = (3.0 * b / (np.maximum(tol, 4.0 * _EPS * b) * share)).max(initial=1.0)
+            K = max(1, ceil(log(ratio) / log(3.0)))
             est[1:] += b * 3.0 * 3.0**-K
             steps += 1
 
-            if K not in tables:
-                m = np.arange(K)
-                lag = m[:, None] - 1 - m
-                ratios = (order[:, None] - 1 + m[1:]) / m[1:]
-                binom = np.cumprod(np.c_[np.ones(len(flat)), ratios], axis=1)
-                weight = (lag >= 0) / np.maximum(m, 1)[:, None]
-                sign = (-1.0) ** m
-                tables[K] = m, np.maximum(lag, 0)[:, None, :], weight, binom, sign
-            m, lag, weight, binom, sign = tables[K]
+            m, inv_m, binom, sign = _series_tables(K, orders)
             # u_i(c + sigma H) H = sum_m A[i, m] sigma^m, where binom[t, m] is
-            # C(k - 1 + m, m) for the order k of term t
+            # C(k - 1 + m, m) for the order k of term t; A sits behind K zeros
             d = c - pole
-            A = of_letter @ ((coef * d**-order)[:, None] * binom * (-H / d)[:, None] ** m)
+            padded = np.zeros((L, 2 * K), dtype=complex)
+            A = padded[:, K:]
+            A[:] = of_letter @ ((coef * d**-order)[:, None] * binom * (-H / d)[:, None] ** m)
             for i, ps in enumerate(polys):
                 if ps:
                     qs = _shift_poly(ps, c)[:K]
                     A[i, : len(qs)] += np.array(qs) * H ** m[: len(qs)]
             A *= H
-            # J[:, i] maps a series of <S|w> to that of <S|x_i w> - <S|x_i w>(c):
-            # the lower-Toeplitz product with A[i], integrated in sigma; as a
-            # (K L, K) matrix it takes a stratum to the next in one product
-            J = A[np.arange(L)[:, None], lag] * weight[:, None, :]
+            # J[:, i] maps a series of <S|w> to that of <S|x_i w> less its
+            # value at start, the integral against u_i from sigma = -1: the
+            # lower-Toeplitz product with A[i] integrated from 0 (row 0 is
+            # empty), less its value at -1 in row 0; as a (K L, K) matrix it
+            # takes a stratum to the next in one product.  J[m, i, n] is
+            # A[i, m - 1 - n] / m, read through a strided view of padded
+            # whose negative lags fall on the zeros
+            item = padded.itemsize
+            lagged = np.ndarray(
+                (K, L, K), complex, padded, (K - 1) * item, (item, 2 * K * item, -item)
+            )
+            J = np.multiply(lagged, inv_m, order="C")
+            J[0] = -(sign @ J.reshape(K, -1)).reshape(L, K)
             prev = np.eye(K, 1, dtype=complex)  # the series of <S|1> = 1
-            for ln in range(1, N):
+            for ln in range(1, mid + 1):
                 lo, hi = starts[ln], starts[ln + 1]
-                cur = (J.reshape(K * L, K) @ prev).reshape(K, hi - lo)
-                cur[0] = y[lo:hi] - sign @ cur  # the value at c, from sigma = -1
-                y[lo:hi] = cur.sum(axis=0)
-                prev = cur
-            if N:  # the top stratum is needed only at sigma = -1 and 1
-                y[starts[N] :] += (((1.0 - sign) @ J.reshape(K, -1)).reshape(L, K) @ prev).ravel()
+                prev = (J.reshape(K * L, K) @ prev).reshape(K, hi - lo)
+                prev[0] += y[lo:hi]
+                y[lo:hi] = prev.sum(axis=0)
+            # Row u of R[k] is 1^T J_(u_1) ... J_(u_k): applied to a series
+            # it gives the iterated integral over u at sigma = 1, and its
+            # column 0 is the step's own coefficient s_u.  For |u| = k and
+            # |v| = mid, <S|uv> gains R_u applied to the series of v (the
+            # splits of uv past u) and s_a <S|bv> for u = ab, 0 < |a| < k;
+            # strata are updated top down, so <S|bv> is still the start value
+            R = [np.ones((1, K))]
+            for k in range(1, N - mid + 1):
+                R.append((R[-1] @ J.reshape(K, L * K)).reshape(L**k, K))
+            for ln in range(N, mid, -1):
+                top = y[starts[ln] : starts[ln + 1]]  # reshaped below as views
+                top.reshape(-1, L**mid)[:] += R[ln - mid] @ prev
+                for j in range(1, ln - mid):
+                    top.reshape(L**j, -1)[:] += R[j][:, :1] * y[starts[ln - j] : starts[ln - j + 1]]
             t = seg_len if 2.0 * h >= seg_len - t else t + 2.0 * h
 
-    values = dict(zip(M.alphabet.words_up_to(N), y.tolist()))  # <S|1> = 1
     estimates = {ln: float(e) for ln, e in enumerate(est)}
-    return CoefficientTable(values, path.z0, path.z, N, estimates, steps)
+    return CoefficientTable(y, L, path.z0, path.z, N, estimates, steps)
 
 
 def grouplike_report(T: CoefficientTable):
@@ -328,13 +409,16 @@ def grouplike_report(T: CoefficientTable):
     the words carrying u on |u| of their positions and v on the rest
     (Reutenauer, Free Lie Algebras); with words numbered in base L, the
     codes of all of them are digit matrices times those positions' place
-    values.  Every word over the table's letters must be present (KeyError)."""
-    N = T.truncation
-    L = 1 + max((w[0] for w in T.values if len(w) == 1), default=-1)
-    if N < 2 or not L:
+    values, read from the table's strata.  Every word over the table's
+    letters must be present (KeyError)."""
+    N, L = T.truncation, T.letters
+    if N < 2:
         return 0.0, None
+    starts = graded_starts(L, N)
+    if len(T.coeffs) < starts[-1]:
+        raise KeyError(T.words()[len(T.coeffs)])
     # per length: values and base-L digits, indexed by code
-    val = [np.array([T.values[w] for w in product(range(L), repeat=ln)]) for ln in range(N + 1)]
+    val = [T.coeffs[starts[ln] : starts[ln + 1]] for ln in range(N + 1)]
     digits = [(np.arange(L**ln)[:, None] // L ** np.arange(ln - 1, -1, -1)) % L for ln in range(N)]
     worst, worst_pair = 0.0, None
     for p in range(1, N // 2 + 1):

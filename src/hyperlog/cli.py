@@ -37,7 +37,7 @@ from .ratfun import (
     parse_gaussian,
     parse_plr,
 )
-from .words import Alphabet
+from .words import Alphabet, graded_starts
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -299,13 +299,14 @@ def _table_for_endpoint(cfg: ProblemConfig, z_text: str, N: int):
 def _cmd_eval(args) -> int:
     cfg = _require_config(args)
     table = _table_for_endpoint(cfg, args.z, cfg.truncation)
-    # eval_coeffs inserts table.values in words_up_to order, as names_up_to spells them
-    errs = {ln: _fmt(e) for ln, e in table.error_estimates.items()}
+    # table.coeffs is in graded lex order, as names_up_to spells the words
+    errs = []
+    for ln, e in table.error_estimates.items():
+        errs += [_fmt(e)] * table.letters**ln
+    y = table.coeffs
     names = cfg.alphabet.names_up_to(table.truncation)
-    lines = [
-        "%s\t%.15g\t%.15g\t%s" % (name, val.real, val.imag, errs[len(w)])
-        for name, (w, val) in zip(names, table.values.items(), strict=True)
-    ]
+    rows = zip(names, y.real.tolist(), y.imag.tolist(), errs, strict=True)
+    lines = ["%s\t%.15g\t%.15g\t%s" % row for row in rows]
     _print(args.output, lines)
     return EXIT_OK
 
@@ -343,7 +344,7 @@ def _cmd_relations(args) -> int:
         cfg.multiplier,
         cfg.basepoint,
         cfg.truncation,
-        sample_count=max(cfg.samples, len(cfg.alphabet.words_up_to(cfg.truncation))),
+        sample_count=max(cfg.samples, graded_starts(len(cfg.alphabet), cfg.truncation)[-1]),
         tol=cfg.relation_tol,
         eval_tol=cfg.tol,
         margin=cfg.margin,

@@ -119,7 +119,38 @@ class Alphabet:
 
     def words_up_to(self, n: int) -> list[Word]:
         """All words of length <= n, graded lex ascending."""
-        return [w for ln in range(n + 1) for w in self.words_of_length(ln)]
+        return graded_words(len(self.letters), n)
+
+
+def graded_words(letters: int, n: int) -> list[Word]:
+    """All words of length <= n over letter indices ``0 .. letters-1``, graded
+    lex ascending.  This is bijective base-``letters`` numbering: w sits at
+    ``graded_position(w, letters)``, and length l starts at
+    ``graded_starts(letters, n)[l]``."""
+    # product yields tuples of ints already; skip Word's per-letter int()
+    return [
+        tuple.__new__(Word, combo)
+        for ln in range(n + 1)
+        for combo in itertools.product(range(letters), repeat=ln)
+    ]
+
+
+def graded_position(w, letters: int) -> int:
+    """Index of w in ``graded_words(letters, n)`` for every n >= |w|:
+    sum_k (w_k + 1) letters^(|w|-1-k)."""
+    code = 0
+    for i in w:
+        code = code * letters + i + 1
+    return code
+
+
+def graded_starts(letters: int, n: int) -> list[int]:
+    """Index of the first word of each length 0..n in graded lex order,
+    sum_(k<l) letters^k, then the number of words of length <= n."""
+    starts = [0]
+    for ln in range(n + 1):
+        starts.append(starts[-1] + letters**ln)
+    return starts
 
 
 def graded_lex_key(w: Word):

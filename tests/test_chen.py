@@ -33,6 +33,10 @@ X01 = Word((0, 1))
 X10 = Word((1, 0))
 
 
+DOUBLE_POLE_PATHS = [(2, 0.97 - 0.05j), (2, 0.5 + 0.01j), (-1, 0.06 + 0.01j), (-1, 1.06 + 0.02j)]
+POLYNOMIAL_PART_PATHS = [(2, 2 + 3j), (-1, -1 + 2j)]
+
+
 def min_pole_distance(path, poles):
     return min(
         _segment_distance(a, b, p) for a, b in path.segments() for p in poles
@@ -154,9 +158,13 @@ class TestEvalCoeffs:
             assert abs(T[w] - value) <= tol, w
 
     def test_values_inserted_in_graded_order(self, polylog_multiplier):
+        # the array is in graded lex order, which the word-keyed view follows
         path = build_path(-1, 0.5 + 0.8j, [0j, 1 + 0j], 0.05)
         T = eval_coeffs(polylog_multiplier, path, 5, 1e-12)
-        assert list(T.values) == T.words()
+        words = T.words()
+        assert words == sorted(words) == list(T.values)
+        assert len(T.values) == len(words) == 63
+        assert [T[w] for w in words] == T.coeffs.tolist()
 
     def test_bad_truncation(self, polylog_multiplier):
         path = build_path(0.5, 0.25, [0j, 1 + 0j], 0.1)
@@ -216,10 +224,8 @@ class TestEvalCoeffs:
             assert abs(got - want) <= 1e-5 * max(1.0, abs(want))
 
 
-    @pytest.mark.parametrize(
-        "z0, z", [(2, 0.97 - 0.05j), (2, 0.5 + 0.01j), (-1, 0.06 + 0.01j), (-1, 1.06 + 0.02j)]
-    )
-    def test_double_poles_match_exact_forms(self, counterexample_multiplier, z0, z):
+    @pytest.mark.parametrize("z0, z", DOUBLE_POLE_PATHS)
+    def test_double_poles_match_exact_forms(self, counterexample_multiplier, z0, z, N=3):
         # near-pole endpoints reached round a pole.  The exact table holds
         # the power words; x0.x1 and x1.x0 need logs: with c = 1/(z0-1) and
         # d = 1/z0, u0 <S|x1> = 1/s + (1+c)/s^2 - 1/(s-1) and
@@ -229,15 +235,25 @@ class TestEvalCoeffs:
         tol = 1e-12
         path = build_path(z0, z, M.pole_set.approx, 0.05)
         assert len(path.waypoints) > 2
-        T = eval_coeffs(M, path, 3, tol)
-        exact = rational_coefficient_table(M, z0, 3)
+        T = eval_coeffs(M, path, N, tol)
+        assert len(T.values) == 2 ** (N + 1) - 1
+        assert max(T.error_estimates.values()) <= tol
+        exact = rational_coefficient_table(M, z0, N)
         want = {w: f.evaluate(z) for w, f in exact.entries.items()}
         L0, L1 = (sum(cmath.log((b - p) / (a - p)) for a, b in path.segments()) for p in (0, 1))
         c, d = 1 / (z0 - 1), 1 / z0
-        want[X01] = L0 - L1 - (1 + c) * (1 / z - 1 / z0)
-        want[X10] = L1 - L0 + (1 - d) * (1 / (z - 1) - 1 / (z0 - 1))
+        if N >= 2:
+            want[X01] = L0 - L1 - (1 + c) * (1 / z - 1 / z0)
+            want[X10] = L1 - L0 + (1 - d) * (1 / (z - 1) - 1 / (z0 - 1))
+        assert T[E] == 1.0
         for w, value in want.items():
             assert abs(T[w] - value) <= 10 * tol, w
+
+    @pytest.mark.parametrize("N", [0, 1, 2])
+    def test_double_poles_at_small_truncations(self, counterexample_multiplier, N):
+        # N // 2 is 0 or 1, so every stratum above it comes from Chen's lemma
+        for z0, z in DOUBLE_POLE_PATHS:
+            self.test_double_poles_match_exact_forms(counterexample_multiplier, z0, z, N)
 
     @pytest.mark.parametrize("z", [0.1 + 0.05j, 0.5 + 0.01j, 1.06 + 0.02j, 0.94 - 0.03j])
     def test_fuchsian_estimates_stay_under_tol(self, polylog_multiplier, z):
@@ -246,8 +262,8 @@ class TestEvalCoeffs:
         T = eval_coeffs(polylog_multiplier, path, 4, tol)
         assert 0.0 < max(T.error_estimates.values()) <= tol
 
-    @pytest.mark.parametrize("z0, z", [(2, 2 + 3j), (-1, -1 + 2j)])
-    def test_polynomial_part_estimates_stay_under_tol(self, alphabet01, poles01, z0, z):
+    @pytest.mark.parametrize("z0, z", POLYNOMIAL_PART_PATHS)
+    def test_polynomial_part_estimates_stay_under_tol(self, alphabet01, poles01, z0, z, N=4):
         # u0 = 1/z, u1 = z: far from the only pole carrying a term, the step
         # is limited by the size of u1 rather than by the pole distance
         M = Multiplier(
@@ -259,12 +275,24 @@ class TestEvalCoeffs:
             },
         )
         tol = 1e-12
-        T = eval_coeffs(M, build_path(z0, z, poles01.approx, 0.05), 4, tol)
-        assert 0.0 < max(T.error_estimates.values()) <= tol
+        T = eval_coeffs(M, build_path(z0, z, poles01.approx, 0.05), N, tol)
+        assert max(T.error_estimates.values()) <= tol
+        assert (max(T.error_estimates.values()) > 0.0) == (N > 0)
         L, F = cmath.log(z / z0), (z * z - z0 * z0) / 2
-        want = {X0: L, X1: F, X00: L**2 / 2, Word((1, 1, 1, 1)): F**4 / 24}
+        # <S|x1>(s) = F(s), so <S|x0.x1> = F/2 - z0^2 L/2 and
+        # <S|x0.x0.x1> = F/4 - z0^2 (L/4 + L^2/4)
+        want = {E: 1.0, X0: L, X1: F, X00: L**2 / 2, X01: F / 2 - z0 * z0 * L / 2}
+        want[Word((0, 0, 1))] = F / 4 - z0 * z0 * (L + L * L) / 4
+        want[Word((1, 1, 1, 1))] = F**4 / 24
         for w, value in want.items():
-            assert abs(T[w] - value) <= 10 * tol, w
+            if len(w) <= N:
+                assert abs(T[w] - value) <= 10 * tol, w
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 3])
+    def test_polynomial_part_at_small_truncations(self, alphabet01, poles01, N):
+        # N // 2 is 0 or 1, so every stratum above it comes from Chen's lemma
+        for z0, z in POLYNOMIAL_PART_PATHS:
+            self.test_polynomial_part_estimates_stay_under_tol(alphabet01, poles01, z0, z, N)
 
 
 def chebyshev_integration(n):
@@ -287,7 +315,7 @@ def chebyshev_integration(n):
 
     A = [[anti(k, th) for k in range(n)] for th in theta]
     S = [[mp.fsum(A[j][k] * C[k][i] for k in range(n)) / 2 for i in range(n)] for j in range(n)]
-    return [(1 - mp.cos(mp.pi * j / (n - 1))) / 2 for j in range(n)], np.array(S, dtype=object)
+    return [(1 - mp.cos(mp.pi * j / (n - 1))) / 2 for j in range(n)], S
 
 
 def mp_coefficients(letters, path, N, n=32):
@@ -313,11 +341,11 @@ def mp_coefficients(letters, path, N, n=32):
             for ln in range(1, N + 1):
                 cur = {}
                 for w in strata[ln]:
-                    f = np.array([gi * yi for gi, yi in zip(g[w[0]], prev[w[1:]])], dtype=object)
+                    f = [gi * yi for gi, yi in zip(g[w[0]], prev[w[1:]])]
                     if ln == N:
-                        vals[w] += S[-1] @ f
+                        vals[w] += mp.fdot(S[-1], f)
                     else:
-                        cur[w] = vals[w] + S @ f
+                        cur[w] = [vals[w] + mp.fdot(row, f) for row in S]
                         vals[w] = cur[w][-1]
                 prev = cur
             t += ell
@@ -325,35 +353,47 @@ def mp_coefficients(letters, path, N, n=32):
 
 
 class TestMpmathOracle:
-    """Every word of length <= 4 of configs/polylog.yaml against the
-    coefficient system integrated independently at 30 digits."""
+    """Every word of length <= 4 of configs/polylog.yaml, and deeper tables
+    whose upper strata come from Chen's lemma, against the coefficient
+    system integrated independently at 30 digits."""
+
+    POLYLOG = ((0, 1), (1, -1))  # (pole, weight): u0 = 1/z, u1 = 1/(1-z)
 
     @pytest.mark.parametrize("z", [0.5 + 0.8j, 0.5 - 0.01j])
-    def test_polylog_words_within_estimates(self, z):
-        self.check(-1, z)
+    def test_polylog_words_within_estimates(self, polylog_multiplier, z):
+        self.check(polylog_multiplier, self.POLYLOG, -1, z, 4)
 
     @pytest.mark.parametrize(
         "z0, z", [(-1, -0.1 + 0.05j), (-0.08, -1.5)], ids=["near-pole-endpoint", "away-from-pole"]
     )
-    def test_two_sided_steps_within_estimates(self, z0, z):
+    def test_two_sided_steps_within_estimates(self, polylog_multiplier, z0, z):
         # a straight path that ends 2.2 margins from pole 0, and one that
         # starts 1.6 margins from it and heads straight away, where the
         # first steps reach dist/3 about their centres
-        self.check(z0, z)
+        self.check(polylog_multiplier, self.POLYLOG, z0, z, 4)
+
+    def test_polylog_depth_six(self, polylog_multiplier):
+        # strata 4..6 are past N // 2 = 3
+        self.check(polylog_multiplier, self.POLYLOG, -1, 0.5 + 0.8j, 6)
+
+    def test_three_letters_depth_five(self):
+        # the three-letter Fuchsian multiplier of the eval-deep benchmark;
+        # strata 3..5 are past N // 2 = 2
+        poles = PoleSet(["0", "1", "-1"])
+        M = Multiplier.fuchsian(Alphabet(["a", "b", "c"]), poles, {0: (0, 1), 1: (1, -1), 2: (2, 1)})
+        self.check(M, ((0, 1), (1, -1), (-1, 1)), 0.5j, 0.5 + 0.25j, 5)
 
     @staticmethod
-    def check(z0, z):
-        cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "polylog.yaml"))
-        path = build_path(z0, z, cfg.pole_set.approx, cfg.margin)
-        T = eval_coeffs(cfg.multiplier, path, 4, cfg.tol)
+    def check(M, letters, z0, z, N, tol=1e-12, margin=0.05):
+        path = build_path(z0, z, M.pole_set.approx, margin)
+        T = eval_coeffs(M, path, N, tol)
         with mp.workdps(30):
-            letters = [(mp.mpf(0), 1), (mp.mpf(1), -1)]  # u0 = 1/z, u1 = 1/(1-z)
-            want = mp_coefficients(letters, path, 4)
+            want = mp_coefficients([(mp.mpf(p), w) for p, w in letters], path, N)
             # the oracle itself against the closed form <S|x0> = log(z/z0)
             assert abs(want[(0,)] - mp.log(mp.mpc(z) / path.z0)) < 1e-24
-        for ln in range(1, 5):
+        for ln in range(1, N + 1):
             err = max(abs(T.values[Word(w)] - complex(v)) for w, v in want.items() if len(w) == ln)
-            assert err <= T.error_estimates[ln] <= cfg.tol, ln
+            assert err <= T.error_estimates[ln] <= tol, ln
 
 
 class TestPathInvariance:
@@ -431,17 +471,18 @@ class TestGrouplike:
         values = {w: np.prod([a[i] for i in w]) / math.factorial(len(w)) for w in words}
         u = Word((2, 2, 2, 2))
         values[u] += 100.0
-        T = CoefficientTable(values, 0j, 1j, 8)
+        T = CoefficientTable(np.array([values[w] for w in words]), 3, 0j, 1j, 8)
         defect, pairw = grouplike_report(T)
         want = abs(values[u] ** 2 - sum(n * values[w] for w, n in shuffle(u, u).items()))
         assert pairw == (u, u)
         assert abs(defect - want) <= 1e-12 * want
 
     def test_missing_word_raises(self, polylog_multiplier):
-        # x0 stays, but x0 shuffle x0 = 2 x0.x0 is gone
+        # x1 and x1.x1 stay, but x1.x1.x1, in x1 shuffle x1.x1, is gone
         path = build_path(-1, 0.5 + 0.8j, [0j, 1 + 0j], 0.05)
         T = eval_coeffs(polylog_multiplier, path, 3, 1e-12)
-        del T.values[X00]
+        T.coeffs = T.coeffs[:-1]
+        assert Word((1, 1)) in T and Word((1, 1, 1)) not in T
         with pytest.raises(KeyError):
             grouplike_report(T)
         with pytest.raises(KeyError):

@@ -7,6 +7,7 @@ import yaml
 
 from hyperlog.chen import build_path, eval_coeffs
 from hyperlog.cli import ProblemConfig, load_config, main
+from hyperlog.words import Alphabet
 
 ROOT = Path(__file__).resolve().parent.parent
 POLYLOG = str(ROOT / "configs" / "polylog.yaml")
@@ -177,6 +178,23 @@ class TestEval:
         )
         assert code == 0 and out == ""
         assert target.read_text() == "1\t1\t0\t0\n"
+
+
+def test_tables_build_no_word_list(capsys, monkeypatch):
+    # tables are positional: neither the propagator nor eval and grouplike
+    # spell out the list of every word (2047 tuples at N = 10)
+    def refuse(self, n):
+        raise AssertionError("words_up_to called")
+
+    monkeypatch.setattr(Alphabet, "words_up_to", refuse)
+    cfg = load_config(POLYLOG)
+    path = build_path(complex(cfg.basepoint), 0.5 + 0.8j, cfg.pole_set.approx, cfg.margin)
+    assert len(eval_coeffs(cfg.multiplier, path, 10, cfg.tol).values) == 2047
+    code, out, _ = run(capsys, "eval", "--config", POLYLOG, "--z", "0.5,0.8", "--N", "10")
+    assert code == 0 and len(out.splitlines()) == 2047
+    for extra, want in (([], 0), (["--corrupt"], 11)):
+        code, out, _ = run(capsys, "grouplike", "--config", POLYLOG, "--z", "0.5,0.8", *extra)
+        assert code == want and out.startswith("defect\t")
 
 
 class TestGrouplike:

@@ -15,6 +15,7 @@ from hyperlog import (
     partial_degree,
     shuffle,
 )
+from hyperlog.words import graded_position, graded_starts
 
 
 def brute_interleavings(u, v):
@@ -78,6 +79,16 @@ class TestOrdering:
         a = Alphabet(letters)
         for n in range(5):
             assert a.names_up_to(n) == [a.format_word(w) for w in a.words_up_to(n)]
+
+    @pytest.mark.parametrize("letters", [1, 2, 3])
+    def test_positions_follow_words_up_to(self, letters):
+        # graded lex order is bijective base-L numbering
+        for n in range(5):
+            words = Alphabet([f"x{i}" for i in range(letters)]).words_up_to(n)
+            assert [graded_position(w, letters) for w in words] == list(range(len(words)))
+            starts = graded_starts(letters, n)
+            assert starts[-1] == len(words)
+            assert [words[i] for i in starts[:-1]] == [Word((0,) * ln) for ln in range(n + 1)]
 
     def test_rejects_foreign_words(self):
         a = Alphabet(["a", "b"])
