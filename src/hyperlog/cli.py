@@ -11,6 +11,7 @@ import argparse
 import math
 import re
 import sys
+from fractions import Fraction
 
 import yaml
 
@@ -166,8 +167,6 @@ def _parse_exact_point(text: str) -> GaussianRational:
     try:
         if "," in text:
             re_txt, im_txt = text.split(",")
-            from fractions import Fraction
-
             return GaussianRational(Fraction(re_txt.strip()), Fraction(im_txt.strip()))
         return parse_gaussian(text)
     except (ValueError, ZeroDivisionError):

@@ -11,6 +11,8 @@ from .ratfun import (
     PoleLocalizedRational,
     PoleSet,
     PoleSetMismatchError,
+    _wrap,
+    format_plr_pretty,
 )
 from .words import Alphabet, Letter, Word, graded_lex_key, shuffle
 
@@ -298,14 +300,11 @@ def _coeff_text(c):
     if isinstance(c, PoleLocalizedRational):
         if c.is_constant and c.poly:
             return _coeff_text(c.poly[0])
-        from .ratfun import format_plr_pretty
-
         return "(" + format_plr_pretty(c) + ")", False
     if isinstance(c, GaussianRational):
         if c.is_real:
             return (str(-c.re), True) if c.re < 0 else (str(c.re), False)
-        txt = str(c)
-        return (f"({txt})" if ("+" in txt[1:] or "-" in txt[1:]) else txt), False
+        return _wrap(c), False
     if isinstance(c, (int, Fraction)):
         return (str(-c), True) if c < 0 else (str(c), False)
     if isinstance(c, float):

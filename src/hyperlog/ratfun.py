@@ -153,7 +153,6 @@ class GaussianRational:
 
 GR_ZERO = GaussianRational()
 GR_ONE = GaussianRational(Fraction(1))
-GR_I = GaussianRational(Fraction(0), Fraction(1))
 
 
 def _coerce(x):
@@ -342,15 +341,11 @@ class PoleLocalizedRational:
         if not isinstance(other, PoleLocalizedRational):
             return NotImplemented
         self._check(other)
-        n = max(len(self.poly), len(other.poly))
-        poly = [GR_ZERO] * n
-        for m, c in enumerate(self.poly):
-            poly[m] = poly[m] + c
-        for m, c in enumerate(other.poly):
-            poly[m] = poly[m] + c
+        a, b = sorted((self.poly, other.poly), key=len)
+        poly = [x + y for x, y in zip(a, b)] + list(b[len(a):])
         pp = dict(self.principal)
         for ik, c in other.principal.items():
-            pp[ik] = pp.get(ik, GR_ZERO) + c
+            _acc(pp, ik, c)
         return PoleLocalizedRational(self.pole_set, poly, pp)
 
     __radd__ = __add__
@@ -448,9 +443,7 @@ class PoleLocalizedRational:
 
 
 def _divide_linear(coeffs, a):
-    """p(z) = (z - a) q(z) + r; returns (q coefficients, r)."""
-    if not coeffs:
-        return [], GR_ZERO
+    """p(z) = (z - a) q(z) + r for nonempty p; returns (q coefficients, r)."""
     q = [GR_ZERO] * (len(coeffs) - 1)
     acc = coeffs[-1]
     for m in range(len(coeffs) - 2, -1, -1):
@@ -459,101 +452,52 @@ def _divide_linear(coeffs, a):
     return q, acc
 
 
-def _taylor_coeffs(coeffs, a):
-    """Coefficients b with p(z) = sum_m b_m (z - a)^m."""
-    out = []
-    work = list(coeffs)
-    while work:
-        work, r = _divide_linear(work, a)
-        out.append(r)
-    return out
-
-
-def _poly_mul_linear(coeffs, a):
-    """Coefficient list of (z - a) * p(z)."""
-    out = [GR_ZERO] * (len(coeffs) + 1)
-    for m, c in enumerate(coeffs):
-        out[m + 1] = out[m + 1] + c
-        out[m] = out[m] - a * c
-    return out
-
-
-def _shifted_to_plain(shifted, a):
-    """Coefficient list in z of sum_m shifted[m] (z - a)^m."""
-    out = []
-    for c in reversed(shifted):
-        out = _poly_mul_linear(out, a)
-        if out:
-            out[0] = out[0] + c
-        else:
-            out = [c]
-    return out
-
-
-def _acc_poly(target, coeffs):
-    while len(target) < len(coeffs):
-        target.append(GR_ZERO)
-    for m, c in enumerate(coeffs):
-        target[m] = target[m] + c
-
-
-def _acc_pp(target, key, c):
-    target[key] = target.get(key, GR_ZERO) + c
+def _acc(target, key, c):
+    target[key] = target[key] + c if key in target else c
 
 
 def _multiply(f: PoleLocalizedRational, g: PoleLocalizedRational) -> PoleLocalizedRational:
     ps = f.pole_set
-    poly = []
+    poly = {}
     pp = {}
 
-    if f.poly and g.poly:
-        conv = [GR_ZERO] * (len(f.poly) + len(g.poly) - 1)
-        for m, a in enumerate(f.poly):
-            for n, b in enumerate(g.poly):
-                conv[m + n] = conv[m + n] + a * b
-        _acc_poly(poly, conv)
+    for m, a in enumerate(f.poly):
+        for n, b in enumerate(g.poly):
+            _acc(poly, m + n, a * b)
 
-    # polynomial x principal part: expand p(z)/(z-a)^k by shifting p to base a
+    # p(z) c/(z-a)^k: the remainders of k divisions by (z - a) are the
+    # coefficients of (z-a)^(-k), ..., (z-a)^(-1); the quotient is polynomial
     for p_coeffs, other in ((f.poly, g), (g.poly, f)):
-        if not p_coeffs:
-            continue
         for (i, k), c in other.principal.items():
-            a = ps[i]
-            shifted = _taylor_coeffs(p_coeffs, a)
-            high = []
-            for m, s in enumerate(shifted):
-                v = c * s
-                if v.is_zero:
-                    continue
-                if m < k:
-                    _acc_pp(pp, (i, k - m), v)
-                else:
-                    while len(high) < m - k + 1:
-                        high.append(GR_ZERO)
-                    high[m - k] = high[m - k] + v
-            if high:
-                _acc_poly(poly, _shifted_to_plain(high, a))
+            q = p_coeffs
+            for m in range(min(k, len(q))):  # each division shortens q by one
+                q, r = _divide_linear(q, ps[i])
+                if r:
+                    _acc(pp, (i, k - m), c * r)
+            for m, b in enumerate(q):
+                _acc(poly, m, c * b)
 
-    # principal x principal
+    # c/(z-a)^j * d/(z-b)^k: the part at a takes the Taylor coefficients of
+    # (z-b)^(-k) about a, C(k+n-1, n) (-inv)^n inv^k with inv = 1/(a-b)
     for (i, j), c in f.principal.items():
         for (l, k), d in g.principal.items():
             v = c * d
             if i == l:
-                _acc_pp(pp, (i, j + k), v)
+                _acc(pp, (i, j + k), v)
                 continue
-            a, b = ps[i], ps[l]
-            ab = a - b
-            for p in range(1, j + 1):
-                sign = -1 if (j - p) % 2 else 1
-                coeff = v * Fraction(sign * math.comb(k + j - p - 1, j - p)) / ab ** (k + j - p)
-                _acc_pp(pp, (i, p), coeff)
-            ba = b - a
-            for q in range(1, k + 1):
-                sign = -1 if (k - q) % 2 else 1
-                coeff = v * Fraction(sign * math.comb(j + k - q - 1, k - q)) / ba ** (j + k - q)
-                _acc_pp(pp, (l, q), coeff)
+            for (s, js), (t, kt) in (((i, j), (l, k)), ((l, k), (i, j))):
+                inv = GR_ONE / (ps[s] - ps[t])
+                x, step = v * inv ** kt, -inv
+                terms = []
+                for n in range(js):
+                    terms.append(x * math.comb(kt + n - 1, n))
+                    x = x * step
+                # keys go in as p = 1, ..., js: evaluate sums pp in insertion order
+                for p, y in enumerate(reversed(terms), 1):
+                    _acc(pp, (s, p), y)
 
-    return PoleLocalizedRational(ps, poly, pp)
+    # the keys of poly are always 0, ..., len(poly) - 1
+    return PoleLocalizedRational(ps, [poly[m] for m in range(len(poly))], pp)
 
 
 # ----- text forms -------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from hyperlog import (
     Word,
     certify,
     discover_relations,
+    format_plr,
     numeric_relation_defect,
     rational_coefficient_table,
     residue_matrix,
@@ -183,6 +185,45 @@ class TestRationalCoefficientTable:
     def test_basepoint_at_pole_rejected(self, counterexample_multiplier):
         with pytest.raises(ValueError):
             rational_coefficient_table(counterexample_multiplier, 0, 1)
+
+    @staticmethod
+    def mixed_multiplier():
+        """Polynomial parts of degree 0-2 and principal orders 1-3 at three
+        poles, one non-real.  x1 is a multiple of x0 = f', so every word over
+        {x0, x1} has an entry; a product with x2 or x3 keeps a residue."""
+        ps = PoleSet(["0", "1", "1/2+i"])
+        u0 = PLR(ps, (-2, GaussianRational(1, -1), 1), {(0, 2): -1, (1, 3): 1, (2, 3): -2})
+        return Multiplier(
+            Alphabet(["x0", "x1", "x2", "x3"]),
+            ps,
+            {
+                0: u0,
+                1: u0.scale(GaussianRational(Fraction(1, 2), -1)),
+                2: PLR(ps, (0, -1), {(0, 3): GaussianRational(0, 1), (2, 1): 1}),
+                3: PLR(ps, (Fraction(1, 3),), {(1, 1): 1}),
+            },
+        )
+
+    @pytest.mark.parametrize(
+        "case, digest",
+        [
+            ("mixed", "43138c738532b81fb9ef9234c4addc070e9aed10f121536a51b7ba2cd8ce4216"),
+            ("counterexample", "f9489db8dd351987e3a15feb44e0b2a3ef1638a983e022560d69f891202ddebf"),
+        ],
+        ids=["mixed", "counterexample"],
+    )
+    def test_depth4_text_forms_pinned(self, case, digest, counterexample_multiplier):
+        """The exact text of every depth-4 entry and the blocked set, hashed;
+        a rewrite of the product or of the scalars must leave it unchanged."""
+        if case == "mixed":
+            M, z0 = self.mixed_multiplier(), GaussianRational(-1, Fraction(1, 2))
+        else:
+            M, z0 = counterexample_multiplier, GaussianRational(-1)
+        tab = rational_coefficient_table(M, z0, 4)
+        fmt = M.alphabet.format_word
+        lines = sorted(f"{fmt(w)}\t{format_plr(F)}" for w, F in tab.entries.items())
+        lines += sorted(f"blocked\t{fmt(w)}" for w in tab.blocked)
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
 class TestVerifyRelation:
