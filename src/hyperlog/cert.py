@@ -205,9 +205,9 @@ def rational_coefficient_table(M: Multiplier, z0, N: int) -> RationalCoefficient
                 except ResidueObstruction:
                     blocked.add(w)
                     continue
-                entries[w] = F - PoleLocalizedRational.constant(
-                    M.pole_set, F.evaluate_exact(z0)
-                )
+                poly = list(F.poly) or [GR_ZERO]
+                poly[0] = poly[0] - F.evaluate_exact(z0)
+                entries[w] = PoleLocalizedRational(M.pole_set, poly, F.principal)
                 new_frontier.append(w)
         frontier = new_frontier
     return RationalCoefficientTable(

@@ -132,7 +132,10 @@ class ProblemConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
-        bp = complex(self.basepoint)
+        try:
+            bp = complex(self.basepoint)
+        except OverflowError:
+            raise ConfigError("basepoint must lie in floating-point range") from None
         for a in self.pole_set.approx:
             if abs(bp - a) <= self.margin:
                 raise ConfigError(

@@ -187,9 +187,13 @@ def shuffle_product(P: NCPolynomial, Q: NCPolynomial) -> NCPolynomial:
         for v, cv in Q.terms.items():
             cuv = cu * cv
             for w, n in shuffle(u, v).items():
-                add = cuv * n
-                out[w] = out[w] + add if w in out else add
-    return NCPolynomial(out)
+                add = cuv if n == 1 else cuv * n
+                cur = out.get(w)
+                out[w] = add if cur is None else cur + add
+    # shuffle's keys are Words already: skip the constructor's re-wrapping
+    product = NCPolynomial()
+    product.terms = {w: c for w, c in out.items() if not _is_zero(c)}
+    return product
 
 
 class Multiplier:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 
@@ -34,16 +34,29 @@ class ResidueObstruction(ArithmeticError):
         )
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
+    """Exact complex number with rational real and imaginary parts.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    Immutable; ``re`` and ``im`` are reduced Fractions.  Arithmetic builds
+    its results with :func:`_gr` from parts that Fraction arithmetic has
+    already reduced, and takes ``int``/``Fraction`` operands as real
+    scalars without wrapping them.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=Fraction(0), im=Fraction(0)):
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
 
     @staticmethod
     def of(x) -> "GaussianRational":
@@ -62,7 +75,7 @@ class GaussianRational:
         return not self.im
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gr(self.re, -self.im)
 
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
@@ -74,54 +87,56 @@ class GaussianRational:
         return complex(float(self.re), float(self.im))
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self.re, -self.im)
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if isinstance(other, GaussianRational):
+            return _gr(self.re + other.re, self.im + other.im)
+        if isinstance(other, (int, Fraction)):
+            return _gr(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if isinstance(other, GaussianRational):
+            return _gr(self.re - other.re, self.im - other.im)
+        if isinstance(other, (int, Fraction)):
+            return _gr(self.re - other, self.im)
+        return NotImplemented
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+        if isinstance(other, (int, Fraction)):
+            return _gr(other - self.re, -self.im)
+        return NotImplemented
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if isinstance(other, GaussianRational):
+            a, b, c, d = self.re, self.im, other.re, other.im
+            return _gr(a * c - b * d, a * d + b * c)
+        if isinstance(other, (int, Fraction)):
+            return _gr(self.re * other, self.im * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = other.abs2()
-        if not d:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        num = self * other.conjugate()
-        return GaussianRational(num.re / d, num.im / d)
+        if isinstance(other, GaussianRational):
+            a, b, c, d = self.re, self.im, other.re, other.im
+            n = c * c + d * d
+            if not n:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            return _gr((a * c + b * d) / n, (b * c - a * d) / n)
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            return _gr(self.re / other, self.im / other)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(other) / self
+        return NotImplemented
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -136,10 +151,11 @@ class GaussianRational:
         return out
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, GaussianRational):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.re == other and not self.im
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.re, self.im))
@@ -151,16 +167,16 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
+def _gr(re: Fraction, im: Fraction) -> GaussianRational:
+    """A GaussianRational from parts that are already reduced Fractions."""
+    g = object.__new__(GaussianRational)
+    object.__setattr__(g, "re", re)
+    object.__setattr__(g, "im", im)
+    return g
+
+
 GR_ZERO = GaussianRational()
 GR_ONE = GaussianRational(Fraction(1))
-
-
-def _coerce(x):
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(Fraction(x))
-    return NotImplemented
 
 
 def format_gaussian(q: GaussianRational) -> str:
@@ -222,7 +238,10 @@ class PoleSet:
         if len(set(pts)) != len(pts):
             raise ValueError("pole locations must be pairwise distinct")
         self.points = pts
-        self.approx = tuple(complex(p) for p in pts)
+        try:
+            self.approx = tuple(complex(p) for p in pts)
+        except OverflowError:
+            raise ValueError("pole locations must lie in floating-point range") from None
 
     def __len__(self):
         return len(self.points)
@@ -422,14 +441,26 @@ class PoleLocalizedRational:
         return val
 
     def evaluate_exact(self, z) -> GaussianRational:
+        """Exact value; raises PoleEvaluationError at a pole carrying a
+        principal term.  Each pole's terms are one Horner sum in
+        t = 1/(z - a_i)."""
         z = GaussianRational.of(z)
         val = GR_ZERO
         for c in reversed(self.poly):
             val = val * z + c
+        by_pole = {}
         for (i, k), c in self.principal.items():
+            by_pole.setdefault(i, {})[k] = c
+        for i, terms in by_pole.items():
             if z == self.pole_set[i]:
                 raise PoleEvaluationError(f"evaluation at pole {z}")
-            val = val + c / (z - self.pole_set[i]) ** k
+            t = GR_ONE / (z - self.pole_set[i])
+            acc = GR_ZERO
+            for k in range(max(terms), 0, -1):
+                if k in terms:
+                    acc = acc + terms[k]
+                acc = acc * t
+            val = val + acc
         return val
 
     def __str__(self):
@@ -478,22 +509,28 @@ def _multiply(f: PoleLocalizedRational, g: PoleLocalizedRational) -> PoleLocaliz
                 _acc(poly, m, c * b)
 
     # c/(z-a)^j * d/(z-b)^k: the part at a takes the Taylor coefficients of
-    # (z-b)^(-k) about a, C(k+n-1, n) (-inv)^n inv^k with inv = 1/(a-b)
+    # (z-b)^(-k) about a, C(k+n-1, n) (-1)^n inv^(k+n) with inv = 1/(a-b);
+    # powers[(a, b)] holds inv^0, inv^1, ... for this call
+    powers = {}
     for (i, j), c in f.principal.items():
         for (l, k), d in g.principal.items():
             v = c * d
             if i == l:
                 _acc(pp, (i, j + k), v)
                 continue
-            for (s, js), (t, kt) in (((i, j), (l, k)), ((l, k), (i, j))):
-                inv = GR_ONE / (ps[s] - ps[t])
-                x, step = v * inv ** kt, -inv
-                terms = []
-                for n in range(js):
-                    terms.append(x * math.comb(kt + n - 1, n))
-                    x = x * step
+            for s, js, t, kt in ((i, j, l, k), (l, k, i, j)):
+                pw = powers.get((s, t))
+                if pw is None:
+                    pw = powers[(s, t)] = [GR_ONE, GR_ONE / (ps[s] - ps[t])]
+                while len(pw) < kt + js:
+                    pw.append(pw[-1] * pw[1])
                 # keys go in as p = 1, ..., js: evaluate sums pp in insertion order
-                for p, y in enumerate(reversed(terms), 1):
+                for p in range(1, js + 1):
+                    n = js - p
+                    y = v * pw[kt + n]
+                    if n:
+                        m = math.comb(kt + n - 1, n)
+                        y = y * (-m if n & 1 else m)
                     _acc(pp, (s, p), y)
 
     # the keys of poly are always 0, ..., len(poly) - 1

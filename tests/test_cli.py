@@ -313,6 +313,26 @@ class TestParsing:
         assert code == 2
         assert "basepoint" in err
 
+    def test_overflowing_basepoint_flag(self, capsys):
+        code, out, err = run(capsys, "certify", "--config", POLYLOG, "--z0=1e400,0")
+        assert code == 2
+        assert out == "" and err.startswith("error: basepoint")
+
+    @pytest.mark.parametrize(
+        "old, new, field",
+        [('basepoint: "-1"', 'basepoint: "1e400"', "basepoint"),
+         ('poles: ["0", "1"]', 'poles: ["0", "1e400"]', "pole")],
+        ids=["basepoint", "pole"],
+    )
+    def test_overflowing_config_point(self, capsys, tmp_path, old, new, field):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(Path(POLYLOG).read_text().replace(old, new))
+        if field == "pole":  # the letter must name the pole it sits at
+            bad.write_text(bad.read_text().replace('pole: "1"', 'pole: "1e400"'))
+        code, out, err = run(capsys, "certify", "--config", str(bad))
+        assert code == 2
+        assert out == "" and err.startswith(f"error: {field}")
+
     def test_bad_z_format(self, capsys):
         code, _, _ = run(capsys, "eval", "--config", POLYLOG, "--z", "nope")
         assert code == 2

@@ -1,3 +1,5 @@
+import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from hyperlog import (
     parse_gaussian,
     parse_plr,
 )
+from hyperlog.ratfun import GR_ONE, GR_ZERO
 
 from conftest import random_gaussian, random_plr, random_pole_set
 
@@ -76,6 +79,56 @@ class TestGaussianRational:
         for _ in range(200):
             q = random_gaussian(rng)
             assert parse_gaussian(format_gaussian(q)) == q
+
+
+class TestGaussianContract:
+    def test_immutable(self):
+        g = GaussianRational(1, 2)
+        for name in ("re", "im", "other"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, Fraction(3))
+        with pytest.raises(AttributeError):
+            del g.re
+        assert g == GaussianRational(1, 2)
+        assert pickle.loads(pickle.dumps(g)) == g
+
+    @given(gaussians, gaussians, small_fractions, st.integers(-5, 5))
+    def test_results_have_reduced_fraction_parts(self, a, b, q, n):
+        results = [a + b, a - b, a * b, -a, a**3, a**0, a.conjugate()]
+        for s in (q, n, True):
+            results += [a + s, s + a, a - s, s - a, a * s, s * a]
+            if s:
+                results.append(a / s)
+            if a:
+                results.append(s / a)
+        if b:
+            results.append(a / b)
+        for r in results:
+            assert type(r) is GaussianRational
+            for part in (r.re, r.im):
+                assert type(part) is Fraction
+                assert part.denominator > 0 and math.gcd(part.numerator, part.denominator) == 1
+
+    @given(gaussians)
+    def test_hash_is_the_parts_hash(self, g):
+        assert hash(g) == hash((g.re, g.im))
+        assert hash(g * 1) == hash(g) and hash(g + GR_ZERO) == hash(g)
+
+    def test_text_forms(self):
+        g = GaussianRational(Fraction(1, 2), -3)
+        assert repr(g) == "GaussianRational(Fraction(1, 2), Fraction(-3, 1))"
+        assert repr(GaussianRational()) == "GaussianRational(Fraction(0, 1), Fraction(0, 1))"
+        assert format_gaussian(g) == str(g) == "1/2-3*i"
+        assert [format_gaussian(x) for x in (g * g, g / 2, 1 / g, g.conjugate())] == [
+            "-35/4-3*i", "1/4-3/2*i", "2/37+12/37*i", "1/2+3*i"]
+
+    def test_constants_untouched(self):
+        g = GaussianRational(Fraction(2, 3), 5)
+        for x in (GR_ZERO, GR_ONE):
+            _ = [x + g, g + x, x - g, x * g, g * x, x * 7, x + 1, -x, x**4, x.conjugate()]
+        _ = [g / GR_ONE, GR_ONE / g, GR_ZERO / g]
+        assert repr(GR_ZERO) == "GaussianRational(Fraction(0, 1), Fraction(0, 1))"
+        assert repr(GR_ONE) == "GaussianRational(Fraction(1, 1), Fraction(0, 1))"
 
 
 class TestFieldLaws:
@@ -252,6 +305,30 @@ class TestEvaluate:
         # z + 1/z has no principal part at pole 1, so z=1 is a regular point
         f = PLR.from_poly(ps, [0, 1]) + PLR.simple_pole(ps, 0)
         assert f.evaluate_exact(GaussianRational(1)) == 2
+
+    @given(st.data())
+    def test_exact_is_the_per_term_sum(self, data):
+        """evaluate_exact sums each pole's terms as one Horner sum in
+        1/(z - a_i); it must equal sum c/(z - a_i)^k + poly(z) term by term,
+        and reject exactly the poles that carry a term."""
+        ps = PoleSet(data.draw(st.lists(gaussians, min_size=1, max_size=3, unique=True)))
+        keys = st.tuples(st.integers(0, len(ps) - 1), st.integers(1, 3))
+        poly = data.draw(st.lists(gaussians, max_size=4))
+        f = PLR(ps, poly, data.draw(st.dictionaries(keys, gaussians, max_size=3 * len(ps))))
+
+        def per_term(z):
+            val = sum((c * z**m for m, c in enumerate(f.poly)), GR_ZERO)
+            return val + sum((c / (z - ps[i]) ** k for (i, k), c in f.principal.items()), GR_ZERO)
+
+        z = data.draw(gaussians.filter(lambda z: z not in ps.points))
+        assert f.evaluate_exact(z) == per_term(z)
+        carriers = {i for i, _ in f.principal}
+        for i, a in enumerate(ps):
+            if i in carriers:
+                with pytest.raises(PoleEvaluationError):
+                    f.evaluate_exact(a)
+            else:
+                assert f.evaluate_exact(a) == per_term(a)
 
     def test_mul_consistency_float(self):
         rng = random.Random(15)

@@ -10,6 +10,8 @@ from hyperlog import cert, chen, cli, ncalg
 from hyperlog.ratfun import PoleLocalizedRational
 from hyperlog.words import Alphabet
 
+from test_exact_workload import load_workloads
+
 TRACING = Path(__file__).resolve().parents[1] / "hyperbench" / "tracing.py"
 
 
@@ -39,3 +41,33 @@ def test_install_then_detach_restores_every_binding():
         after = vars(owner)
         assert after.keys() == names.keys(), owner
         assert all(after[k] is v for k, v in names.items()), owner
+
+
+def test_exact_layers_record_calls(monkeypatch):
+    """A traced replay of seeded ``exact`` tasks must record calls under each
+    layer name the workload is meant to move; a refactor that inlines or
+    bypasses a traced name would otherwise turn its metric into a silent 0."""
+    tracing = load_tracing()
+    workloads = load_workloads(monkeypatch)
+    exact = workloads.Exact(str(TRACING.parents[1]), None)
+    cycles = exact.cycles(5)
+    tracer = tracing.Tracer()
+    for k in range(20):
+        (task,) = next(cycles)
+        built = exact.prepare(task)
+        tracer.attach(k)
+        try:
+            exact.run(built)
+        finally:
+            tracer.detach()
+    calls = {name: n for name, (n, _) in tracing.self_times(tracer.spans).items()}
+    for name in (
+        "ratfun.mul",
+        "ratfun.evaluate_exact",
+        "ratfun.rational_primitive",
+        "ncalg.shuffle_product",
+        "words.shuffle",
+    ):
+        assert calls.get(name, 0) > 0, name
+    for name in ("ncalg.shuffle_product.terms_out", "ratfun.residue_obstructions"):
+        assert tracer.counts[name] > 0, name
