@@ -16,6 +16,16 @@ on the circle of three times h about c, where integrating the system from
 the step's start (at most 4h away) bounds the coefficients; the tail bounds
 at both ends of every step are summed per length stratum as the error
 estimate (in the style of Vollinga & Weinzierl, hep-ph/0410259).
+
+The poles are fixed and known, so the geometry alone fixes each step's
+centre, size and kernels; only the series order reads the values, through
+the bound on the start values.  ``eval_coeffs`` therefore works in three
+phases: it plans the steps in plain floats, fixes the orders of a batch of
+steps from an a-priori bound (Chen's lemma again: the values at a step's
+start are those at its batch's start times the iterated integrals between,
+|<S_seg|w>| <= lam^|w| / |w|! for lam the integral of a bound on the
+multipliers) and builds the batch's kernels as stacked products, and only
+then runs the per-step products on the values.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from math import ceil, factorial, log, sqrt
+from math import log, sqrt
 
 import numpy as np
 
@@ -196,6 +206,7 @@ class CoefficientTable:
     truncation: int
     error_estimates: dict = field(default_factory=dict)
     steps: int = 0  # series steps taken along the path
+    max_order: int = 0  # the largest series order K of a step
 
     @property
     def values(self) -> WordValues:
@@ -225,10 +236,14 @@ class CoefficientTable:
 
 
 _EPS = float(np.finfo(float).eps)
+# bytes of the stacked J of one batch of steps; a batch holds the longest
+# run of steps that fits, and at least one
+_KERNEL_BYTES = 1 << 19
 
 
-def _shift_poly(p: list, c: complex) -> list:
-    """Coefficients of p(c + s) in powers of s (repeated synthetic division)."""
+def _shift_poly(p: list, c):
+    """Coefficients of p(c + s) in powers of s (repeated synthetic division);
+    c may be an array of centres."""
     q = list(p)
     for m in range(len(q) - 1):
         for n in range(len(q) - 2, m - 1, -1):
@@ -236,76 +251,28 @@ def _shift_poly(p: list, c: complex) -> list:
     return q
 
 
-def _max_on_circle(terms, polys, c: complex, r: float) -> float:
-    """Upper bound on max_i |u_i| over the circle of radius r about c."""
-    return max(
-        sum(abs(coef) * (abs(c - p) - r) ** -k for p, k, coef in ts)
-        + sum(abs(q) * (abs(c) + r) ** n for n, q in enumerate(ps))
-        for ts, ps in zip(terms, polys)
-    )
+def _circle_bound(letters, dist, rad: float, r: float) -> float:
+    """Upper bound on max_i |u_i| over the circle of radius r about a centre
+    at distance dist[j] from pole j and rad from 0; ``letters`` holds per
+    letter its principal terms as (|coefficient|, pole, order) and its
+    polynomial part as (power, |coefficient|)."""
+    worst = 0.0
+    for terms, poly in letters:
+        s = 0.0
+        for a, j, k in terms:
+            s += a * (dist[j] - r) ** -k
+        for n, q in poly:
+            s += q * (rad + r) ** n
+        worst = max(worst, s)
+    return worst
 
 
-@lru_cache(maxsize=256)
-def _series_tables(K: int, orders: tuple):
-    """For series order K and the pole orders of the terms: the powers m,
-    the integration weights 1/m (1 at m = 0) shaped to scale rows, the rows
-    C(k - 1 + m, m) per term of order k, and the signs (-1)^m."""
-    m = np.arange(K)
-    ratios = (np.array(orders, dtype=float)[:, None] - 1 + m[1:]) / m[1:]
-    binom = np.cumprod(np.c_[np.ones(len(orders)), ratios], axis=1)
-    out = m, 1.0 / np.maximum(m, 1)[:, None, None], binom, (-1.0) ** m
-    for arr in out:  # shared by every call that hits the cache
-        arr.flags.writeable = False
-    return out
-
-
-def eval_coeffs(M: Multiplier, path: PathSpec, N: int, tol: float) -> CoefficientTable:
-    """Propagate the truncated coefficient system along the path by Taylor
-    series, each centred mid-step and used on both sides of its centre.
-
-    Each step carries the series of the words up to length N // 2; a
-    longer word uv, |v| = N // 2, gets its value at the step's end as the
-    sum over its splits of the step's own coefficient of the left part
-    times the start value of the right part, where the splits that cut v
-    are one kernel row for u applied to the series of v.
-
-    ``tol`` is the absolute error target per coefficient over the whole
-    path; ``error_estimates[l]`` sums over the steps the Cauchy bound on
-    the series tails of length-l words at both ends of the step, with the
-    words bounded on the circle of 3h about the centre by integrating from
-    the step's start (at most 4h away); ``steps`` counts the steps.
-    """
-    if not isinstance(N, int) or N < 0:
-        raise TruncationError(f"truncation must be a nonnegative integer, got {N!r}")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be positive and finite")
-    path.validate_against(M.pole_set.approx)
-
-    # graded lex order over L letters is base-L numbering: stratum l starts
-    # at sum_(k<l) L^k, and x_i w sits at i L^(l-1) plus w's place in l-1
-    L = len(M.alphabet)
-    starts = graded_starts(L, N)
-    mid = N // 2
-    # per letter: principal-part terms (pole, order, coefficient) and the
-    # polynomial part, as complex numbers; the terms also as flat arrays
-    us = [M.terms[i] for i in range(L)]
-    terms = [
-        [(M.pole_set.approx[i], k, complex(c)) for (i, k), c in u.principal.items()]
-        for u in us
-    ]
-    polys = [[complex(c) for c in u.poly] for u in us]
-    flat = [(i, k, p, a) for i, ts in enumerate(terms) for p, k, a in ts]
-    letter, order = np.array([f[:2] for f in flat], dtype=int).reshape(-1, 2).T
-    pole, coef = np.array([f[2:] for f in flat], dtype=complex).reshape(-1, 2).T
-    orders = tuple(order.tolist())
-    term_poles = list(dict.fromkeys(f[2] for f in flat))
-    of_letter = (letter == np.arange(L)[:, None]).astype(complex)
-    y = np.zeros(starts[-1], dtype=complex)
-    y[0] = 1.0
-    est = np.zeros(N + 1)
-    steps = 0
-    total_len = path.length()
-
+def _plan_steps(path: PathSpec, letters, poles):
+    """The steps along the path, which the geometry alone fixes, as arrays:
+    the centre c, the half-step H and h = |H|, x = 4h times the bound on
+    the multipliers on the circle of 3h about c, and lam = 2h times their
+    bound on the circle of h, which holds along the step."""
+    plan = []
     for a, b in path.segments():
         seg_len = abs(b - a)
         dhat = (b - a) / seg_len
@@ -318,86 +285,275 @@ def eval_coeffs(M: Multiplier, path: PathSpec, N: int, tol: float) -> Coefficien
             # every h up to the positive root (and the disc |s| <= 3h about
             # c stays h from every pole that carries a term)
             h = (seg_len - t) / 2.0
-            for p in term_poles:
+            for p in poles:
                 q = start - p
                 beta = (q * dhat.conjugate()).real
                 aq = abs(q)
                 h = min(h, (beta + sqrt(beta * beta + 15.0 * (aq * aq))) / 15.0)
             # U bounds |u_i| on the circle |s| = 2h about c.  Shrinking h
-            # until 2hU <= 1 keeps the bound b_l (below) near the values
+            # until 2hU <= 1 keeps the bounds below near the values
             # themselves (U only falls as h shrinks, so 0.5/U is enough).
-            U = _max_on_circle(terms, polys, start + dhat * h, 2.0 * h)
-            while 2.0 * h * U > 1.0:
+            while True:
+                c = start + dhat * h
+                dist = [abs(c - p) for p in poles]
+                U = _circle_bound(letters, dist, abs(c), 2.0 * h)
+                if not 2.0 * h * U > 1.0:
+                    break
                 h = max(h / 2.0, 0.5 / U)
-                U = _max_on_circle(terms, polys, start + dhat * h, 2.0 * h)
             if h < min(seg_len * 1e-14, (seg_len - t) / 2.0):
                 raise StepSizeUnderflowError(f"step size {h:.3g} underflows at {start}")
-            H = dhat * h
-            c = start + H
             # Every point of the disc |s| <= 3h about c is within 4h of
             # start along a line inside the disc, so integrating
             # d y_(x_i w) = u_i y_w from start bounds |y_w| there by
-            # b_l = sum_j Y_(l-j) (4h U_r)^j / j!, Y_l = max |y_w(start)|.
-            x = 4.0 * h * _max_on_circle(terms, polys, c, 3.0 * h)
-            Y = np.maximum.reduceat(np.abs(y), starts[:-1])
-            b = np.convolve(Y, [x**j / factorial(j) for j in range(N + 1)])[1 : N + 1]
-            # the sigma-scaled coefficients are bounded by b_l 3^-m, so K
-            # terms leave a tail of at most b_l 3^-K 3/2 at each end
-            share = 2.0 * h / total_len
-            ratio = (3.0 * b / (np.maximum(tol, 4.0 * _EPS * b) * share)).max(initial=1.0)
-            K = max(1, ceil(log(ratio) / log(3.0)))
-            est[1:] += b * 3.0 * 3.0**-K
-            steps += 1
-
-            m, inv_m, binom, sign = _series_tables(K, orders)
-            # u_i(c + sigma H) H = sum_m A[i, m] sigma^m, where binom[t, m] is
-            # C(k - 1 + m, m) for the order k of term t; A sits behind K zeros
-            d = c - pole
-            padded = np.zeros((L, 2 * K), dtype=complex)
-            A = padded[:, K:]
-            A[:] = of_letter @ ((coef * d**-order)[:, None] * binom * (-H / d)[:, None] ** m)
-            for i, ps in enumerate(polys):
-                if ps:
-                    qs = _shift_poly(ps, c)[:K]
-                    A[i, : len(qs)] += np.array(qs) * H ** m[: len(qs)]
-            A *= H
-            # J[:, i] maps a series of <S|w> to that of <S|x_i w> less its
-            # value at start, the integral against u_i from sigma = -1: the
-            # lower-Toeplitz product with A[i] integrated from 0 (row 0 is
-            # empty), less its value at -1 in row 0; as a (K L, K) matrix it
-            # takes a stratum to the next in one product.  J[m, i, n] is
-            # A[i, m - 1 - n] / m, read through a strided view of padded
-            # whose negative lags fall on the zeros
-            item = padded.itemsize
-            lagged = np.ndarray(
-                (K, L, K), complex, padded, (K - 1) * item, (item, 2 * K * item, -item)
-            )
-            J = np.multiply(lagged, inv_m, order="C")
-            J[0] = -(sign @ J.reshape(K, -1)).reshape(L, K)
-            prev = np.eye(K, 1, dtype=complex)  # the series of <S|1> = 1
-            for ln in range(1, mid + 1):
-                lo, hi = starts[ln], starts[ln + 1]
-                prev = (J.reshape(K * L, K) @ prev).reshape(K, hi - lo)
-                prev[0] += y[lo:hi]
-                y[lo:hi] = prev.sum(axis=0)
-            # Row u of R[k] is 1^T J_(u_1) ... J_(u_k): applied to a series
-            # it gives the iterated integral over u at sigma = 1, and its
-            # column 0 is the step's own coefficient s_u.  For |u| = k and
-            # |v| = mid, <S|uv> gains R_u applied to the series of v (the
-            # splits of uv past u) and s_a <S|bv> for u = ab, 0 < |a| < k;
-            # strata are updated top down, so <S|bv> is still the start value
-            R = [np.ones((1, K))]
-            for k in range(1, N - mid + 1):
-                R.append((R[-1] @ J.reshape(K, L * K)).reshape(L**k, K))
-            for ln in range(N, mid, -1):
-                top = y[starts[ln] : starts[ln + 1]]  # reshaped below as views
-                top.reshape(-1, L**mid)[:] += R[ln - mid] @ prev
-                for j in range(1, ln - mid):
-                    top.reshape(L**j, -1)[:] += R[j][:, :1] * y[starts[ln - j] : starts[ln - j + 1]]
+            # b_l = sum_j Y_(l-j) x^j / j!, Y_l = max |y_w(start)|; the
+            # step itself lies in the disc |s| <= h
+            x = 4.0 * h * _circle_bound(letters, dist, abs(c), 3.0 * h)
+            lam = 2.0 * h * _circle_bound(letters, dist, abs(c), h)
+            plan.append((c, dhat * h, h, x, lam))
             t = seg_len if 2.0 * h >= seg_len - t else t + 2.0 * h
+    c, H, h, x, lam = zip(*plan) if plan else ((),) * 5
+    return np.array(c, complex), np.array(H, complex), np.array(h), np.array(x), np.array(lam)
 
+
+def _tail_bounds(Y, x, N: int):
+    """b_l = sum_j Y_(l-j) x^j / j!, l = 0..N, one row per entry of x, for
+    stratum bounds Y given per row (n, N + 1) or shared (N + 1,)."""
+    # rows j of the Toeplitz matrix Y_(l-j): Y behind N zeros, read
+    # through a strided view
+    ragged = np.concatenate((np.zeros(Y.shape[:-1] + (N,)), Y), axis=-1)
+    item = ragged.itemsize
+    strides = ragged.strides[:-1] + (-item, item)
+    lagged = np.ndarray(Y.shape + (N + 1,), float, ragged, N * item, strides)
+    powers = np.cumprod(x[:, None] / np.arange(1.0, N + 1), axis=1)  # x^j / j!, j >= 1
+    return Y + (powers[:, None, :] @ lagged[..., 1:, :])[:, 0]
+
+
+def _orders(b, share, tol: float):
+    """The series order K per step for bounds b_l of the strata l = 1..N
+    (columns 1..N) and the step's share of the path: the sigma-scaled
+    coefficients are bounded by b_l 3^-m, so K terms leave a tail of at
+    most b_l 3^-K 3/2 at each end, which K keeps under its share of tol,
+    or at the roundoff floor 4 eps b_l (so the largest b_l decides)."""
+    b = b[:, 1:].max(axis=1, initial=0.0)
+    ratio = 3.0 * b / (np.maximum(tol, 4.0 * _EPS * b) * share)
+    return np.ceil(np.log(np.maximum(ratio, 3.0)) / log(3.0)).astype(int)
+
+
+@lru_cache(maxsize=256)
+def _series_tables(K: int, orders: tuple):
+    """For series order K and the pole orders of the terms: the powers m,
+    the rows C(k - 1 + m, m) per term of order k, and the weights w[e, s]
+    that give a series' value at sigma = -1, negated (e = 0), and at
+    sigma = 1 less that (e = 1) from its integral's s-th coefficient s,
+    0 < s < K."""
+    m = np.arange(K)
+    ratios = (np.array(orders, dtype=float)[:, None] - 1 + m[1:]) / m[1:]
+    binom = np.cumprod(np.c_[np.ones(len(orders)), ratios], axis=1)
+    w = np.zeros((2, 2 * K))
+    w[0, 1:K] = -((-1.0) ** m[1:]) / m[1:]
+    w[1, 1:K] = 1.0 / m[1:] + w[0, 1:K]
+    out = m, binom, w
+    for arr in out:  # shared by every call that hits the cache
+        arr.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=64)
+def _split_table(L: int, n: int):
+    """Over the nonempty words of length up to n in graded order: entry
+    (u, b) for |b| < n is the place of p where u = pb, 0 < |p|, and the
+    place past the words of length n (a zero) where no such p exists."""
+    starts = graded_starts(L, n)
+    table = np.full((starts[-1] - 1, max(0, starts[-2] - 1)), starts[-1] - 1)
+    for j in range(1, n):  # |p|
+        p = np.arange(L**j)[:, None]
+        for k in range(1, n + 1 - j):  # |b|
+            b = np.arange(L**k)
+            table[starts[j + k] - 1 + p * L**k + b, starts[k] - 1 + b] = starts[j] - 1 + p
+    table.flags.writeable = False
+    return table
+
+
+def _step_kernels(c, H, K: int, L: int, N: int, terms, polys):
+    """The kernels of a batch of steps of series order K, with centres c
+    and half-steps H, stacked along axis 0: JR, which maps the series of a
+    stratum below N // 2 to that of the next, less its start value, and
+    below that to the gain of the next over the step; and R and G, which
+    map the series of stratum m = N // 2 and the start values of strata
+    m + 1 .. N - 1 to the gain of strata m + 1 .. N."""
+    letter, order, pole, coef = terms
+    n = len(c)
+    m, binom, w = _series_tables(K, tuple(order.tolist()))
+    # u_i(c + sigma H) H = sum_m A[i, m] sigma^m, where binom[t, m] is
+    # C(k - 1 + m, m) for the order k of term t; A sits behind K zeros
+    d = c[:, None] - pole
+    padded = np.zeros((n, L, 2 * K), dtype=complex)
+    A = padded[:, :, K:]
+    A[:] = letter @ ((coef * d**-order)[..., None] * binom * (-H[:, None] / d)[..., None] ** m)
+    for i, ps in enumerate(polys):
+        if ps:
+            qs = np.array(np.broadcast_arrays(*_shift_poly(ps, c)[:K])).T
+            A[:, i, : qs.shape[1]] += qs * H[:, None] ** m[: qs.shape[1]]
+    A *= H[:, None, None]
+    # J[:, i] maps a series of <S|w> to that of <S|x_i w> less its value at
+    # start, the integral against u_i from sigma = -1: the lower-Toeplitz
+    # product with A[i] integrated from 0 (row 0 is empty), less its value
+    # at -1 in row 0; as a (K L, K) matrix it takes a stratum to the next in
+    # one product.  J[m, i, n] is A[i, m - 1 - n] / m, read through a
+    # strided view of padded whose negative lags fall on the zeros.  (Copying
+    # the view first and scaling by an array of J's shape keeps numpy from
+    # buffering the product through large temporaries.)  Below J in JR sits
+    # 1^T J, the same integrals at sigma = 1.  Row 0 of J and 1^T J weigh
+    # A[i, t] by w[., t + n + 1], a Hankel matrix read through a strided view
+    item = padded.itemsize
+    lagged = np.ndarray(
+        (n, K, L, K), complex, padded, (K - 1) * item,
+        (padded.strides[0], item, 2 * K * item, -item),
+    )
+    JR = np.empty((n, K * L + L, K), dtype=complex)
+    J = JR[:, : K * L].reshape(n, K, L, K)
+    np.copyto(J, lagged)
+    J *= np.repeat(1.0 / np.maximum(m, 1) + 0j, L * K).reshape(K, L, K)
+    hankel = np.ndarray((K, 2, K), float, w, w.itemsize, (w.itemsize, w.strides[0], w.itemsize))
+    ends = (A.reshape(n * L, K) @ hankel.reshape(K, 2 * K)).reshape(n, L, 2, K)
+    J[:, 0], JR[:, K * L :] = ends[:, :, 0], ends[:, :, 1]
+    # Row u of R is 1^T J_(u_1) ... J_(u_k), 0 < k <= N - m, in graded
+    # order, then a row of zeros: applied to a series it gives the iterated
+    # integral over u at sigma = 1, and its column 0 is the step's own
+    # coefficient s_u.  For |v| = m, <S|uv> gains R_u applied to the series
+    # of v (the splits of uv past u) and s_p <S|bv> for u = pb, 0 < |p| <
+    # |u|, which G gathers into the columns of bv
+    starts = graded_starts(L, N - N // 2)
+    R = np.empty((n, starts[-1], K), dtype=complex)
+    R[:, :L] = JR[:, K * L :]
+    R[:, -1] = 0.0
+    for k in range(2, len(starts) - 1):
+        rows = R[:, starts[k] - 1 : starts[k + 1] - 1].reshape(n, -1, L * K)
+        np.matmul(R[:, starts[k - 1] - 1 : starts[k] - 1], J.reshape(n, K, L * K), out=rows)
+    G = np.take(R[:, :, 0], _split_table(L, N - N // 2), axis=1)
+    return JR, R[:, :-1], G
+
+
+def _advance(y, starts, L: int, kernels, Y) -> None:
+    """Advance the values y over a batch of steps with their kernels,
+    recording the largest |<S|w>| of each stratum at each step's start in
+    the rows of Y."""
+    JR, R, G = kernels
+    N = len(starts) - 2
+    m = N // 2
+    K = JR.shape[-1]
+    strata = [y[starts[ln] : starts[ln + 1]] for ln in range(m + 1)]
+    upper = y[starts[m + 1] :].reshape(-1, L**m)  # words uv, |v| = m, by v
+    old = y[starts[m + 1] : starts[N]].reshape(-1, L**m)
+    first = np.array(starts[:-1])
+    unit = np.eye(K, 1, dtype=complex)  # the series of <S|1> = 1
+    for j in range(len(JR)):
+        np.maximum.reduceat(np.abs(y), first, out=Y[j])
+        series = unit
+        for ln in range(1, m + 1):
+            gain = JR[j] @ series
+            series = gain[: K * L].reshape(K, -1)
+            series[0] += strata[ln]
+            strata[ln] += gain[K * L :].reshape(-1)
+        upper += R[j] @ series + G[j] @ old
+
+
+def eval_coeffs(M: Multiplier, path: PathSpec, N: int, tol: float) -> CoefficientTable:
+    """Propagate the truncated coefficient system along the path by Taylor
+    series, each centred mid-step and used on both sides of its centre, in
+    three phases.
+
+    Plan: walk the path in floats to fix every step's centre and size and
+    bounds on the multipliers about it.  Kernels: for a batch of steps at a
+    time, fix each step's series order K before its values are known, and
+    build the batch's kernels as stacked products.  Values: per step,
+    integrate the series of the words up to length m = N // 2 stratum by
+    stratum; a longer word uv, |v| = m, gets its value at the step's end as
+    the sum over its splits of the step's own coefficient of the left part
+    times the start value of the right part, where the splits that cut v
+    are one kernel row for u applied to the series of v: two products
+    update every longer word.
+
+    ``tol`` is the absolute error target per coefficient over the whole
+    path; ``error_estimates[l]`` sums over the steps the Cauchy bound on
+    the series tails of length-l words at both ends of the step, with the
+    words bounded on the circle of 3h about the centre by integrating from
+    the step's start (at most 4h away).  K keeps that bound under the
+    step's share of ``tol`` for an a-priori bound on the start values:
+    |<S|w>| <= lam^|w| / |w|! when the multipliers are at most U along the
+    path and lam sums 2h U over its steps, which Chen's lemma applies to
+    the values at the start of the step's batch.  That bound is at least
+    the values, so K is at least the order they would pick.  ``steps``
+    counts the steps and ``max_order`` is the largest K.
+    """
+    if not isinstance(N, int) or N < 0:
+        raise TruncationError(f"truncation must be a nonnegative integer, got {N!r}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
+    path.validate_against(M.pole_set.approx)
+
+    # graded lex order over L letters is base-L numbering: stratum l starts
+    # at sum_(k<l) L^k, and x_i w sits at i L^(l-1) plus w's place in l-1
+    L = len(M.alphabet)
+    starts = graded_starts(L, N)
+    # per letter: the principal-part terms, as (letter, order, pole,
+    # coefficient) and also as flat arrays, and the polynomial part; the
+    # bounds take the moduli per letter, over the poles that carry a term
+    us = [M.terms[i] for i in range(L)]
+    flat = [
+        (i, k, M.pole_set.approx[j], complex(a))
+        for i, u in enumerate(us)
+        for (j, k), a in u.principal.items()
+    ]
+    polys = [[complex(a) for a in u.poly] for u in us]
+    poles = list(dict.fromkeys(f[2] for f in flat))
+    letters = [
+        (
+            [(abs(a), poles.index(p), k) for i, k, p, a in flat if i == x],
+            [(n, abs(a)) for n, a in enumerate(ps)],
+        )
+        for x, ps in enumerate(polys)
+    ]
+    letter, order = np.array([f[:2] for f in flat], dtype=int).reshape(-1, 2).T
+    pole, coef = np.array([f[2:] for f in flat], dtype=complex).reshape(-1, 2).T
+    terms = ((letter == np.arange(L)[:, None]).astype(complex), order, pole, coef)
+
+    centres, halves, hs, xs, lams = _plan_steps(path, letters, poles)
+    steps = len(centres)
+    shares = 2.0 * hs / path.length()
+    reach = np.cumsum(lams) - lams  # lam summed over the steps before each
+    y = np.zeros(starts[-1], dtype=complex)
+    y[0] = 1.0
+    Y = np.zeros((steps, N + 1))  # max |<S|w>| per stratum at each step's start
+    orders = np.zeros(steps, dtype=int)
+    i = 0
+    while i < steps:
+        # the start values of the steps ahead are bounded through Chen's
+        # lemma by the values here and lam summed over the steps between,
+        # so their bound b_l is that of the values here with x raised by
+        # that sum
+        Y0 = np.maximum.reduceat(np.abs(y), starts[:-1])
+        K = _orders(_tail_bounds(Y0, xs[i:] + (reach[i:] - reach[i]), N), shares[i:], tol)
+        # the batch: the longest run whose stacked JR fits the budget at
+        # the run's largest order Kb
+        n = Kb = 0
+        for k in K.tolist():
+            if n and (n + 1) * max(Kb, k) * (max(Kb, k) + 1) * 16 * L > _KERNEL_BYTES:
+                break
+            n, Kb = n + 1, max(Kb, k)
+        orders[i : i + n] = K[:n]
+        if N:  # at N = 0 the values stay the unit
+            kernels = _step_kernels(centres[i : i + n], halves[i : i + n], Kb, L, N, terms, polys)
+            _advance(y, starts, L, kernels, Y[i : i + n])
+            del kernels  # before the next batch's are built
+        i += n
+
+    # the tail bounds at both ends of each step, for the values at its start
+    est = np.zeros(N + 1)
+    if steps:
+        est[1:] = (_tail_bounds(Y, xs, N)[:, 1:] * 3.0 ** (1 - orders)[:, None]).sum(axis=0)
     estimates = {ln: float(e) for ln, e in enumerate(est)}
-    return CoefficientTable(y, L, path.z0, path.z, N, estimates, steps)
+    return CoefficientTable(y, L, path.z0, path.z, N, estimates, steps, int(orders.max(initial=0)))
 
 
 def grouplike_report(T: CoefficientTable):

@@ -202,7 +202,10 @@ def _fmt(x: float) -> str:
 
 
 def _print(out_path, lines):
-    text = "\n".join(lines) + "\n" if lines else ""
+    _write(out_path, "\n".join(lines) + "\n" if lines else "")
+
+
+def _write(out_path, text):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -264,6 +267,18 @@ def _require_config(args) -> ProblemConfig:
     return cfg
 
 
+def _require_numeric_config(args) -> ProblemConfig:
+    """The config of a command that evaluates the multiplier in floats."""
+    cfg = _require_config(args)
+    try:
+        for u in cfg.multiplier.terms.values():
+            for c in (*u.poly, *u.principal.values()):
+                complex(c)
+    except OverflowError:
+        raise ConfigError("letter coefficients must lie in floating-point range") from None
+    return cfg
+
+
 def _parse_words(args, texts):
     """The alphabet of --config (else inferred from the texts) and the words."""
     alphabet = load_config(args.config).alphabet if args.config else _adhoc_alphabet(texts)
@@ -299,22 +314,32 @@ def _table_for_endpoint(cfg: ProblemConfig, z_text: str, N: int):
 
 
 def _cmd_eval(args) -> int:
-    cfg = _require_config(args)
+    cfg = _require_numeric_config(args)
     table = _table_for_endpoint(cfg, args.z, cfg.truncation)
-    # table.coeffs is in graded lex order, as names_up_to spells the words
-    errs = []
-    for ln, e in table.error_estimates.items():
-        errs += [_fmt(e)] * table.letters**ln
+    # table.coeffs is in graded lex order, as names_up_to spells the words;
+    # each stratum's fields go into one flat tuple for a single format (one
+    # format over a whole table grows a string of ~100 KB piece by piece,
+    # which fragmented the heap of a long-running caller)
     y = table.coeffs
     names = cfg.alphabet.names_up_to(table.truncation)
-    rows = zip(names, y.real.tolist(), y.imag.tolist(), errs, strict=True)
-    lines = ["%s\t%.15g\t%.15g\t%s" % row for row in rows]
-    _print(args.output, lines)
+    re, im = y.real.tolist(), y.imag.tolist()
+    parts = []
+    lo = 0
+    for ln, e in table.error_estimates.items():
+        hi = lo + table.letters**ln
+        err = _fmt(e)
+        fields = [err] * (4 * (hi - lo))
+        fields[0::4] = names[lo:hi]
+        fields[1::4] = re[lo:hi]
+        fields[2::4] = im[lo:hi]
+        parts.append(("%s\t%.15g\t%.15g\t%s\n" * (hi - lo)) % tuple(fields))
+        lo = hi
+    _write(args.output, "".join(parts))
     return EXIT_OK
 
 
 def _cmd_grouplike(args) -> int:
-    cfg = _require_config(args)
+    cfg = _require_numeric_config(args)
     table = _table_for_endpoint(cfg, args.z, cfg.truncation)
     if args.corrupt and cfg.truncation >= 2:
         table.values[next(cfg.alphabet.words_of_length(2))] += 0.1
@@ -341,7 +366,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_relations(args) -> int:
-    cfg = _require_config(args)
+    cfg = _require_numeric_config(args)
     found = discover_relations(
         cfg.multiplier,
         cfg.basepoint,

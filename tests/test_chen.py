@@ -21,6 +21,7 @@ from hyperlog import (
     grouplike_report,
     shuffle,
 )
+from hyperlog import chen
 from hyperlog.cert import rational_coefficient_table
 from hyperlog.chen import CoefficientTable, _segment_distance
 from hyperlog.cli import load_config
@@ -135,15 +136,19 @@ class TestEvalCoeffs:
         assert set(T.error_estimates) == {0, 1, 2, 3}
 
     @pytest.mark.parametrize(
-        "z, steps", [(0.5 + 0.8j, 6), (-0.15, 4)], ids=["straight", "aimed-at-pole"]
+        "z, steps, max_order",
+        [(0.5 + 0.8j, 6, 32), (-0.15, 4, 31)],
+        ids=["straight", "aimed-at-pole"],
     )
-    def test_steps_on_fixed_paths(self, polylog_multiplier, z, steps):
+    def test_steps_on_fixed_paths(self, polylog_multiplier, z, steps, max_order):
         # the path of configs/polylog.yaml from its basepoint -1: a straight
         # segment clear of both poles, and one aimed at pole 0 that ends
-        # three margins from it; a change to the step rule moves these
+        # three margins from it; a change to the step rule or to the bound
+        # that plans the series orders moves these
         path = build_path(-1, z, [0j, 1 + 0j], 0.05)
         assert len(path.waypoints) == 2
-        assert eval_coeffs(polylog_multiplier, path, 4, 1e-12).steps == steps
+        T = eval_coeffs(polylog_multiplier, path, 4, 1e-12)
+        assert (T.steps, T.max_order) == (steps, max_order)
 
     def test_segment_shorter_than_first_step_ends_on_z(self, polylog_multiplier):
         # pole 0 alone would allow a step of 1/3 about the centre; the step
@@ -383,6 +388,14 @@ class TestMpmathOracle:
         M = Multiplier.fuchsian(Alphabet(["a", "b", "c"]), poles, {0: (0, 1), 1: (1, -1), 2: (2, 1)})
         self.check(M, ((0, 1), (1, -1), (-1, 1)), 0.5j, 0.5 + 0.25j, 5)
 
+    def test_detour_across_kernel_batches(self, polylog_multiplier):
+        # round pole 0, then 1.1 margins past pole 1: the series orders of
+        # each batch of steps are planned from the values at its start, and
+        # the path spans three batches of kernels of its largest order
+        T = self.check(polylog_multiplier, self.POLYLOG, -1, 2 + 0.01j, 5)
+        assert T.steps == 25
+        assert T.steps * 16 * 2 * T.max_order * (T.max_order + 1) > 2 * chen._KERNEL_BYTES
+
     @staticmethod
     def check(M, letters, z0, z, N, tol=1e-12, margin=0.05):
         path = build_path(z0, z, M.pole_set.approx, margin)
@@ -394,6 +407,7 @@ class TestMpmathOracle:
         for ln in range(1, N + 1):
             err = max(abs(T.values[Word(w)] - complex(v)) for w, v in want.items() if len(w) == ln)
             assert err <= T.error_estimates[ln] <= tol, ln
+        return T
 
 
 class TestPathInvariance:

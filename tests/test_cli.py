@@ -333,6 +333,17 @@ class TestParsing:
         assert code == 2
         assert out == "" and err.startswith(f"error: {field}")
 
+    @pytest.mark.parametrize("command", ["eval", "grouplike", "relations"])
+    def test_overflowing_weight(self, capsys, tmp_path, command):
+        # exact in the config, past float range once the multiplier is
+        # evaluated numerically; certify never leaves exact arithmetic
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(Path(POLYLOG).read_text().replace('weight: "1"', 'weight: "1e400"'))
+        code, out, err = run(capsys, command, "--config", str(bad), "--z", "0.5")
+        assert code == 2
+        assert out == "" and err.startswith("error: letter coefficients")
+        assert run(capsys, "certify", "--config", str(bad)) == (0, "INDEPENDENT\n", "")
+
     def test_bad_z_format(self, capsys):
         code, _, _ = run(capsys, "eval", "--config", POLYLOG, "--z", "nope")
         assert code == 2
