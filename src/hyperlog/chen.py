@@ -236,9 +236,9 @@ class CoefficientTable:
 
 
 _EPS = float(np.finfo(float).eps)
-# bytes of the stacked J of one batch of steps; a batch holds the longest
-# run of steps that fits, and at least one
-_KERNEL_BYTES = 1 << 19
+# bytes of the stacked kernels of one batch of steps; a batch holds the
+# longest run of steps that fits, and at least one
+_KERNEL_BYTES = 1 << 20
 
 
 def _shift_poly(p: list, c):
@@ -358,29 +358,13 @@ def _series_tables(K: int, orders: tuple):
     return out
 
 
-@lru_cache(maxsize=64)
-def _split_table(L: int, n: int):
-    """Over the nonempty words of length up to n in graded order: entry
-    (u, b) for |b| < n is the place of p where u = pb, 0 < |p|, and the
-    place past the words of length n (a zero) where no such p exists."""
-    starts = graded_starts(L, n)
-    table = np.full((starts[-1] - 1, max(0, starts[-2] - 1)), starts[-1] - 1)
-    for j in range(1, n):  # |p|
-        p = np.arange(L**j)[:, None]
-        for k in range(1, n + 1 - j):  # |b|
-            b = np.arange(L**k)
-            table[starts[j + k] - 1 + p * L**k + b, starts[k] - 1 + b] = starts[j] - 1 + p
-    table.flags.writeable = False
-    return table
-
-
 def _step_kernels(c, H, K: int, L: int, N: int, terms, polys):
     """The kernels of a batch of steps of series order K, with centres c
     and half-steps H, stacked along axis 0: JR, which maps the series of a
     stratum below N // 2 to that of the next, less its start value, and
-    below that to the gain of the next over the step; and R and G, which
-    map the series of stratum m = N // 2 and the start values of strata
-    m + 1 .. N - 1 to the gain of strata m + 1 .. N."""
+    below that to the gain of the next over the step; and R, which maps
+    the series of stratum m = N // 2 to the gain of strata m + 1 .. N
+    from the splits past m, its column 0 the step's own coefficients."""
     letter, order, pole, coef = terms
     n = len(c)
     m, binom, w = _series_tables(K, tuple(order.tolist()))
@@ -392,7 +376,7 @@ def _step_kernels(c, H, K: int, L: int, N: int, terms, polys):
     A[:] = letter @ ((coef * d**-order)[..., None] * binom * (-H[:, None] / d)[..., None] ** m)
     for i, ps in enumerate(polys):
         if ps:
-            qs = np.array(np.broadcast_arrays(*_shift_poly(ps, c)[:K])).T
+            qs = np.stack([np.broadcast_to(q, c.shape) for q in _shift_poly(ps, c)[:K]], axis=1)
             A[:, i, : qs.shape[1]] += qs * H[:, None] ** m[: qs.shape[1]]
     A *= H[:, None, None]
     # J[:, i] maps a series of <S|w> to that of <S|x_i w> less its value at
@@ -418,33 +402,37 @@ def _step_kernels(c, H, K: int, L: int, N: int, terms, polys):
     ends = (A.reshape(n * L, K) @ hankel.reshape(K, 2 * K)).reshape(n, L, 2, K)
     J[:, 0], JR[:, K * L :] = ends[:, :, 0], ends[:, :, 1]
     # Row u of R is 1^T J_(u_1) ... J_(u_k), 0 < k <= N - m, in graded
-    # order, then a row of zeros: applied to a series it gives the iterated
-    # integral over u at sigma = 1, and its column 0 is the step's own
-    # coefficient s_u.  For |v| = m, <S|uv> gains R_u applied to the series
-    # of v (the splits of uv past u) and s_p <S|bv> for u = pb, 0 < |p| <
-    # |u|, which G gathers into the columns of bv
+    # order: applied to a series it gives the iterated integral over u at
+    # sigma = 1, and its column 0 is the step's own coefficient s_u
     starts = graded_starts(L, N - N // 2)
-    R = np.empty((n, starts[-1], K), dtype=complex)
+    R = np.empty((n, starts[-1] - 1, K), dtype=complex)
     R[:, :L] = JR[:, K * L :]
-    R[:, -1] = 0.0
     for k in range(2, len(starts) - 1):
         rows = R[:, starts[k] - 1 : starts[k + 1] - 1].reshape(n, -1, L * K)
         np.matmul(R[:, starts[k - 1] - 1 : starts[k] - 1], J.reshape(n, K, L * K), out=rows)
-    G = np.take(R[:, :, 0], _split_table(L, N - N // 2), axis=1)
-    return JR, R[:, :-1], G
+    return JR, R
 
 
 def _advance(y, starts, L: int, kernels, Y) -> None:
     """Advance the values y over a batch of steps with their kernels,
     recording the largest |<S|w>| of each stratum at each step's start in
     the rows of Y."""
-    JR, R, G = kernels
+    JR, R = kernels
     N = len(starts) - 2
     m = N // 2
     K = JR.shape[-1]
-    strata = [y[starts[ln] : starts[ln + 1]] for ln in range(m + 1)]
+    strata = [y[starts[ln] : starts[ln + 1]] for ln in range(N + 1)]
     upper = y[starts[m + 1] :].reshape(-1, L**m)  # words uv, |v| = m, by v
-    old = y[starts[m + 1] : starts[N]].reshape(-1, L**m)
+    # For |v| = m, <S|uv> gains R_u applied to the series of v (the splits
+    # of uv past u) and s_p <S|bv> for u = pb, 0 < |p| < |u|: per stratum
+    # of uv and length of p, the rows of R for p, and the start values of
+    # bv, which stay so while the strata are updated top down
+    at = graded_starts(L, N - m)  # rows of R for p: at[|p|] - 1 onwards
+    splits = [
+        (strata[ln].reshape(L**k, -1), at[k] - 1, at[k + 1] - 1, strata[ln - k])
+        for ln in range(N, m + 1, -1)
+        for k in range(1, ln - m)
+    ]
     first = np.array(starts[:-1])
     unit = np.eye(K, 1, dtype=complex)  # the series of <S|1> = 1
     for j in range(len(JR)):
@@ -455,7 +443,9 @@ def _advance(y, starts, L: int, kernels, Y) -> None:
             series = gain[: K * L].reshape(K, -1)
             series[0] += strata[ln]
             strata[ln] += gain[K * L :].reshape(-1)
-        upper += R[j] @ series + G[j] @ old
+        for top, lo, hi, old in splits:
+            top += R[j, lo:hi, :1] * old
+        upper += R[j] @ series
 
 
 def eval_coeffs(M: Multiplier, path: PathSpec, N: int, tol: float) -> CoefficientTable:
@@ -471,8 +461,8 @@ def eval_coeffs(M: Multiplier, path: PathSpec, N: int, tol: float) -> Coefficien
     stratum; a longer word uv, |v| = m, gets its value at the step's end as
     the sum over its splits of the step's own coefficient of the left part
     times the start value of the right part, where the splits that cut v
-    are one kernel row for u applied to the series of v: two products
-    update every longer word.
+    are one kernel row for u applied to the series of v: one product
+    updates every longer word with those.
 
     ``tol`` is the absolute error target per coefficient over the whole
     path; ``error_estimates[l]`` sums over the steps the Cauchy bound on
@@ -526,6 +516,7 @@ def eval_coeffs(M: Multiplier, path: PathSpec, N: int, tol: float) -> Coefficien
     y[0] = 1.0
     Y = np.zeros((steps, N + 1))  # max |<S|w>| per stratum at each step's start
     orders = np.zeros(steps, dtype=int)
+    r_rows = graded_starts(L, N - N // 2)[-1] - 1
     i = 0
     while i < steps:
         # the start values of the steps ahead are bounded through Chen's
@@ -534,13 +525,14 @@ def eval_coeffs(M: Multiplier, path: PathSpec, N: int, tol: float) -> Coefficien
         # that sum
         Y0 = np.maximum.reduceat(np.abs(y), starts[:-1])
         K = _orders(_tail_bounds(Y0, xs[i:] + (reach[i:] - reach[i]), N), shares[i:], tol)
-        # the batch: the longest run whose stacked JR fits the budget at
-        # the run's largest order Kb
+        # the batch: the longest run whose stacked kernels (JR, R and the
+        # padded A, all complex) fit the budget at the run's largest order
         n = Kb = 0
         for k in K.tolist():
-            if n and (n + 1) * max(Kb, k) * (max(Kb, k) + 1) * 16 * L > _KERNEL_BYTES:
+            k = max(Kb, k)
+            if n and (n + 1) * k * (r_rows + 3 * L + L * k) * 16 > _KERNEL_BYTES:
                 break
-            n, Kb = n + 1, max(Kb, k)
+            n, Kb = n + 1, k
         orders[i : i + n] = K[:n]
         if N:  # at N = 0 the values stay the unit
             kernels = _step_kernels(centres[i : i + n], halves[i : i + n], Kb, L, N, terms, polys)

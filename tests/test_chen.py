@@ -299,6 +299,30 @@ class TestEvalCoeffs:
         for z0, z in POLYNOMIAL_PART_PATHS:
             self.test_polynomial_part_estimates_stay_under_tol(alphabet01, poles01, z0, z, N)
 
+    @pytest.mark.parametrize("N", [1, 2, 4])
+    @pytest.mark.parametrize("z0, z", POLYNOMIAL_PART_PATHS)
+    def test_constant_polynomial_part(self, alphabet01, poles01, z0, z, N):
+        # u0 = 1/z, u1 = 1: a polynomial part of degree 0.  With L = log(z/z0)
+        # and D = z - z0, <S|x0.x1> = D - z0 L and <S|x1.x0> = z L - D
+        M = Multiplier(
+            alphabet01,
+            poles01,
+            {
+                0: PoleLocalizedRational.simple_pole(poles01, 0),
+                1: PoleLocalizedRational.one(poles01),
+            },
+        )
+        tol = 1e-12
+        T = eval_coeffs(M, build_path(z0, z, poles01.approx, 0.05), N, tol)
+        assert 0.0 < max(T.error_estimates.values()) <= tol
+        L, D = cmath.log(z / z0), z - z0
+        want = {X0: L, X1: D, X00: L**2 / 2, X01: D - z0 * L, X10: z * L - D}
+        want[Word((1, 1, 1, 1))] = D**4 / 24
+        want[Word((0, 0, 0, 0))] = L**4 / 24
+        for w, value in want.items():
+            if len(w) <= N:
+                assert abs(T[w] - value) <= 10 * tol, w
+
 
 def chebyshev_integration(n):
     """Chebyshev points tau_j on [0, 1] (ascending, ends included) and the
@@ -388,13 +412,24 @@ class TestMpmathOracle:
         M = Multiplier.fuchsian(Alphabet(["a", "b", "c"]), poles, {0: (0, 1), 1: (1, -1), 2: (2, 1)})
         self.check(M, ((0, 1), (1, -1), (-1, 1)), 0.5j, 0.5 + 0.25j, 5)
 
-    def test_detour_across_kernel_batches(self, polylog_multiplier):
+    @pytest.mark.parametrize("scale", [1, 4])
+    def test_detour_across_kernel_batches(self, polylog_multiplier, monkeypatch, scale):
         # round pole 0, then 1.1 margins past pole 1: the series orders of
         # each batch of steps are planned from the values at its start, and
-        # the path spans three batches of kernels of its largest order
+        # the path spans several batches of kernels, more on a budget cut
+        # to a quarter
+        batches = []
+
+        def step_kernels(c, *args):
+            batches.append(len(c))
+            return build(c, *args)
+
+        build = chen._step_kernels
+        monkeypatch.setattr(chen, "_step_kernels", step_kernels)
+        monkeypatch.setattr(chen, "_KERNEL_BYTES", chen._KERNEL_BYTES // scale)
         T = self.check(polylog_multiplier, self.POLYLOG, -1, 2 + 0.01j, 5)
-        assert T.steps == 25
-        assert T.steps * 16 * 2 * T.max_order * (T.max_order + 1) > 2 * chen._KERNEL_BYTES
+        assert T.steps == sum(batches) == 25
+        assert len(batches) > scale
 
     @staticmethod
     def check(M, letters, z0, z, N, tol=1e-12, margin=0.05):
