@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -38,7 +39,8 @@ from .ratfun import (
     parse_gaussian,
     parse_plr,
 )
-from .words import Alphabet, graded_starts
+from .tsv import coefficient_tsv
+from .words import Alphabet
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -65,7 +67,10 @@ class ProblemConfig:
             if "name" not in entry:
                 raise ConfigError("each letter needs a 'name'")
             names.append(str(entry["name"]))
-        self.alphabet = Alphabet(names)
+        try:
+            self.alphabet = Alphabet(names)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
         declared = [str(p) for p in data.get("poles", [])]
         pole_values = [parse_gaussian(p) for p in declared]
@@ -202,15 +207,22 @@ def _fmt(x: float) -> str:
 
 
 def _print(out_path, lines):
-    _write(out_path, "\n".join(lines) + "\n" if lines else "")
+    _write(out_path, "\n".join(lines).encode() + b"\n" if lines else b"")
 
 
-def _write(out_path, text):
+def _write(out_path, data: bytes):
+    """Write UTF-8 bytes to ``out_path``, or else to standard output."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            with open(out_path, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {out_path}: {exc}") from None
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+    else:  # a text stream such as io.StringIO
+        sys.stdout.write(data.decode())
 
 
 def _common_parser() -> argparse.ArgumentParser:
@@ -281,8 +293,8 @@ def _require_numeric_config(args) -> ProblemConfig:
 
 def _parse_words(args, texts):
     """The alphabet of --config (else inferred from the texts) and the words."""
-    alphabet = load_config(args.config).alphabet if args.config else _adhoc_alphabet(texts)
     try:
+        alphabet = load_config(args.config).alphabet if args.config else _adhoc_alphabet(texts)
         return alphabet, [alphabet.word(t) for t in texts]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -305,7 +317,26 @@ def _cmd_order(args) -> int:
     return EXIT_OK
 
 
+def _word_count(cfg: ProblemConfig) -> int:
+    """The number of words of length <= truncation, capped at 2^64."""
+    L, N = len(cfg.alphabet), cfg.truncation
+    if L == 1:
+        return N + 1
+    return (L ** (N + 1) - 1) // (L - 1) if N < 64 else 1 << 64  # at least 2^N words
+
+
+def _require_memory(cfg: ProblemConfig, nbytes: int) -> None:
+    """Exit 2 before a command allocates an array larger than physical memory."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > memory:
+        raise ConfigError(
+            f"truncation {cfg.truncation} is too large: it needs an array of {nbytes} "
+            f"bytes, more than the {memory} bytes of physical memory"
+        )
+
+
 def _table_for_endpoint(cfg: ProblemConfig, z_text: str, N: int):
+    _require_memory(cfg, 16 * _word_count(cfg))  # the table, one complex per word
     if z_text is None:
         raise ConfigError("this command needs --z RE,IM")
     zc = _parse_complex(z_text)
@@ -316,25 +347,7 @@ def _table_for_endpoint(cfg: ProblemConfig, z_text: str, N: int):
 def _cmd_eval(args) -> int:
     cfg = _require_numeric_config(args)
     table = _table_for_endpoint(cfg, args.z, cfg.truncation)
-    # table.coeffs is in graded lex order, as names_up_to spells the words;
-    # each stratum's fields go into one flat tuple for a single format (one
-    # format over a whole table grows a string of ~100 KB piece by piece,
-    # which fragmented the heap of a long-running caller)
-    y = table.coeffs
-    names = cfg.alphabet.names_up_to(table.truncation)
-    re, im = y.real.tolist(), y.imag.tolist()
-    parts = []
-    lo = 0
-    for ln, e in table.error_estimates.items():
-        hi = lo + table.letters**ln
-        err = _fmt(e)
-        fields = [err] * (4 * (hi - lo))
-        fields[0::4] = names[lo:hi]
-        fields[1::4] = re[lo:hi]
-        fields[2::4] = im[lo:hi]
-        parts.append(("%s\t%.15g\t%.15g\t%s\n" * (hi - lo)) % tuple(fields))
-        lo = hi
-    _write(args.output, "".join(parts))
+    _write(args.output, coefficient_tsv(table, [l.name for l in cfg.alphabet]))
     return EXIT_OK
 
 
@@ -367,11 +380,14 @@ def _cmd_certify(args) -> int:
 
 def _cmd_relations(args) -> int:
     cfg = _require_numeric_config(args)
+    words = _word_count(cfg)
+    samples = max(cfg.samples, words)
+    _require_memory(cfg, 16 * words * samples)  # the sample matrix
     found = discover_relations(
         cfg.multiplier,
         cfg.basepoint,
         cfg.truncation,
-        sample_count=max(cfg.samples, graded_starts(len(cfg.alphabet), cfg.truncation)[-1]),
+        sample_count=samples,
         tol=cfg.relation_tol,
         eval_tol=cfg.tol,
         margin=cfg.margin,

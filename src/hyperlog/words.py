@@ -51,15 +51,25 @@ EMPTY_WORD = Word()
 
 
 class Alphabet:
-    """Ordered letters; list position is both the index and the letter order."""
+    """Ordered letters; list position is both the index and the letter order.
+
+    Names are nonempty, not ``1`` and free of ``.``, whitespace and control
+    characters, so that dot syntax spells every word one way."""
 
     def __init__(self, names: Iterable[str]):
         names = list(names)
         if not names:
             raise ValueError("alphabet must be nonempty")
+        names = [str(n) for n in names]
         if len(set(names)) != len(names):
             raise ValueError("letter names must be distinct")
-        self.letters = tuple(Letter(i, str(n)) for i, n in enumerate(names))
+        for n in names:
+            if n in ("", "1") or "." in n or not n.isprintable() or any(c.isspace() for c in n):
+                raise ValueError(
+                    f"letter name {n!r} must be nonempty, not '1', and free of "
+                    "'.', whitespace and control characters"
+                )
+        self.letters = tuple(Letter(i, n) for i, n in enumerate(names))
         self._by_name = {l.name: l for l in self.letters}
 
     def __len__(self):
@@ -100,16 +110,6 @@ class Alphabet:
         if not w:
             return "1"
         return ".".join(self.letters[i].name for i in w)
-
-    def names_up_to(self, n: int) -> list[str]:
-        """``format_word`` of each word of ``words_up_to(n)``, in that order:
-        length l puts every letter name ahead of every name of length l-1."""
-        letters = [l.name for l in self.letters]
-        out, names = ["1"], [""]
-        for _ in range(n):
-            names = [f"{a}.{rest}" if rest else a for a in letters for rest in names]
-            out += names
-        return out
 
     def words_of_length(self, n: int) -> Iterator[Word]:
         """Length-n words in ascending (graded) lex order."""

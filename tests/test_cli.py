@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -146,20 +149,45 @@ class TestEval:
         assert out == "" and "step size" in err
 
     @pytest.mark.parametrize(
-        "three, N, z", [(False, 10, (0.5, 0.8)), (True, 6, (1.3, -0.2))], ids=["polylog", "three-letter"]
+        "config, N, z",
+        [
+            ("polylog", 10, (0.5, 0.8)),
+            ("three-letter", 6, (1.3, -0.2)),
+            ("counterexample", 5, (0.06, 0.01)),  # double poles: values up to ~1e4
+            ("polylog", 0, (0.5, 0.8)),
+            ("polylog", 1, (0.5, 0.8)),
+            ("polylog", 6, (-0.5, 0.0)),  # the real axis: every imaginary part is 0
+            ("non-ascii", 4, (0.5, 0.8)),
+            ("one-letter", 5, (0.5, 0.8)),
+        ],
+        ids=["polylog", "three-letter", "counterexample", "N0", "N1", "real-axis", "non-ascii", "one-letter"],
     )
-    def test_tsv_matches_per_word_formatter(self, capsys, tmp_path, three, N, z):
-        config = POLYLOG
-        if three:
-            config = str(tmp_path / "three.yaml")
-            Path(config).write_text(THREE_LETTERS)
-        cfg = load_config(config)
-        path = build_path(complex(cfg.basepoint), complex(*z), cfg.pole_set.approx, cfg.margin)
-        want = per_word_tsv(cfg, eval_coeffs(cfg.multiplier, path, N, cfg.tol))
-        code, out, _ = run(capsys, "eval", "--config", config, "--z", "%r,%r" % z, "--N", str(N))
+    def test_tsv_matches_per_word_formatter(self, capsys, tmp_path, config, N, z):
+        path = {"polylog": POLYLOG, "counterexample": COUNTER}.get(config, str(tmp_path / "c.yaml"))
+        if config == "three-letter":
+            Path(path).write_text(THREE_LETTERS)
+        elif config == "non-ascii":
+            Path(path).write_text(Path(POLYLOG).read_text(encoding="utf-8").replace("x", "ω"), encoding="utf-8")
+        elif config == "one-letter":
+            Path(path).write_text('letters:\n  - {name: x0, pole: "0", weight: "1"}\nbasepoint: "-1"\n')
+        cfg = load_config(path)
+        table = eval_coeffs(
+            cfg.multiplier,
+            build_path(complex(cfg.basepoint), complex(*z), cfg.pole_set.approx, cfg.margin),
+            N,
+            cfg.tol,
+        )
+        want = per_word_tsv(cfg, table)
+        argv = ["eval", "--config", path, "--z", "%r,%r" % z, "--N", str(N)]
+        code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out == want
         assert len(out.splitlines()) == sum(len(cfg.alphabet) ** n for n in range(N + 1))
+        target = tmp_path / "table.tsv"
+        assert run(capsys, *argv, "--output", str(target)) == (0, "", "")
+        assert target.read_bytes() == want.encode()
+        if z[1] == 0:
+            assert not table.coeffs.imag.any()
 
     def test_missing_z(self, capsys):
         code, _, _ = run(capsys, "eval", "--config", POLYLOG)
@@ -347,3 +375,56 @@ class TestParsing:
     def test_bad_z_format(self, capsys):
         code, _, _ = run(capsys, "eval", "--config", POLYLOG, "--z", "nope")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "name",
+        ['""', '"1"', "1", '"x.0"', '"a\\tb"', '"a b"', '"a\\0b"', '"a\\nb"', '"\\e"'],
+        ids=["empty", "one", "one-as-number", "dot", "tab", "space", "nul", "newline", "escape"],
+    )
+    def test_bad_letter_name(self, capsys, tmp_path, name):
+        # "x.0" would spell x.0.x.0 for a word of length 2, a tab shift every
+        # column, and "1" spell the empty word
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(Path(POLYLOG).read_text().replace("name: x1", f"name: {name}"))
+        for command in ("eval", "certify"):
+            code, out, err = run(capsys, command, "--config", str(bad), "--z", "0.5")
+            assert code == 2
+            assert out == "" and err.startswith("error: letter name")
+
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    @pytest.mark.parametrize("argv", [["eval", "--z", "0.5", "--N", "2"], ["certify"]], ids=["eval", "certify"])
+    def test_unwritable_output(self, capsys, tmp_path, argv, where):
+        target = tmp_path if where == "directory" else tmp_path / "missing" / "out.tsv"
+        code, out, err = run(capsys, *argv, "--config", POLYLOG, "--output", str(target))
+        assert code == 2
+        assert out == "" and err.startswith(f"error: cannot write output {target}")
+        assert run(capsys, *argv, "--config", POLYLOG, "--output", str(tmp_path / "ok"))[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--N=40"],
+            ["grouplike", "--N=40"],
+            ["eval", "--N=200"],
+            ["grouplike", "--N=200"],
+            ["relations", "--N=200"],
+        ],
+        ids=["eval-40", "grouplike-40", "eval-200", "grouplike-200", "relations-200"],
+    )
+    def test_truncation_too_large(self, argv):
+        # rejected before anything is allocated; the child runs under a 2 GiB
+        # address-space limit, so that a regression fails fast instead of
+        # exhausting the machine's memory
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from hyperlog.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv, "--config", POLYLOG, "--z", "0.5"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == "" and proc.stderr.startswith("error: truncation")

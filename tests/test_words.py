@@ -74,12 +74,6 @@ class TestOrdering:
         # transitivity via sortedness of the enumeration order
         assert words == sorted(words)
 
-    @pytest.mark.parametrize("letters", [["x0"], ["x0", "x1"], ["a", "b", "c"]])
-    def test_names_follow_words_up_to(self, letters):
-        a = Alphabet(letters)
-        for n in range(5):
-            assert a.names_up_to(n) == [a.format_word(w) for w in a.words_up_to(n)]
-
     @pytest.mark.parametrize("letters", [1, 2, 3])
     def test_positions_follow_words_up_to(self, letters):
         # graded lex order is bijective base-L numbering
@@ -221,6 +215,15 @@ class TestAlphabet:
     def test_nonempty_required(self):
         with pytest.raises(ValueError):
             Alphabet([])
+
+    @pytest.mark.parametrize("name", ["", "1", 1, "x.0", "a\tb", "a b", "a\0b", "a\nb", "\x1b", "a\u2028b"])
+    def test_name_that_spells_ambiguously_rejected(self, name):
+        with pytest.raises(ValueError, match="letter name"):
+            Alphabet(["x0", name])
+
+    def test_non_ascii_names(self):
+        a = Alphabet(["ω0", "ω1"])
+        assert a.format_word(a.word("ω1.ω0")) == "ω1.ω0"
 
     def test_words_up_to_counts_and_order(self):
         a = Alphabet(["a", "b", "c"])
