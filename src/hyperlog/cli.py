@@ -39,8 +39,8 @@ from .ratfun import (
     parse_gaussian,
     parse_plr,
 )
-from .tsv import coefficient_tsv
-from .words import Alphabet
+from .tsv import coefficient_tsv, row_width
+from .words import Alphabet, graded_starts
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -218,10 +218,7 @@ def _write(out_path, data: bytes):
                 fh.write(data)
         except OSError as exc:
             raise ConfigError(f"cannot write output {out_path}: {exc}") from None
-    elif hasattr(sys.stdout, "buffer"):
-        sys.stdout.flush()
-        sys.stdout.buffer.write(data)
-    else:  # a text stream such as io.StringIO
+    else:
         sys.stdout.write(data.decode())
 
 
@@ -318,11 +315,10 @@ def _cmd_order(args) -> int:
 
 
 def _word_count(cfg: ProblemConfig) -> int:
-    """The number of words of length <= truncation, capped at 2^64."""
-    L, N = len(cfg.alphabet), cfg.truncation
-    if L == 1:
-        return N + 1
-    return (L ** (N + 1) - 1) // (L - 1) if N < 64 else 1 << 64  # at least 2^N words
+    """The number of words of length <= truncation; past length 64 a lower
+    bound of at least 2^64, or N + 1 for one letter."""
+    N = cfg.truncation
+    return max(N + 1, graded_starts(len(cfg.alphabet), min(N, 64))[-1])
 
 
 def _require_memory(cfg: ProblemConfig, nbytes: int) -> None:
@@ -335,8 +331,10 @@ def _require_memory(cfg: ProblemConfig, nbytes: int) -> None:
         )
 
 
-def _table_for_endpoint(cfg: ProblemConfig, z_text: str, N: int):
-    _require_memory(cfg, 16 * _word_count(cfg))  # the table, one complex per word
+def _table_for_endpoint(cfg: ProblemConfig, z_text: str, N: int, word_bytes: int = 16):
+    """The table at ``--z``, once ``word_bytes`` per word (at least the table's
+    one complex) fit in physical memory."""
+    _require_memory(cfg, word_bytes * _word_count(cfg))
     if z_text is None:
         raise ConfigError("this command needs --z RE,IM")
     zc = _parse_complex(z_text)
@@ -346,8 +344,11 @@ def _table_for_endpoint(cfg: ProblemConfig, z_text: str, N: int):
 
 def _cmd_eval(args) -> int:
     cfg = _require_numeric_config(args)
-    table = _table_for_endpoint(cfg, args.z, cfg.truncation)
-    _write(args.output, coefficient_tsv(table, [l.name for l in cfg.alphabet]))
+    names = [l.name for l in cfg.alphabet]
+    # the table, then the TSV's rows and their copy
+    word_bytes = 16 + 2 * row_width(cfg.truncation, names)
+    table = _table_for_endpoint(cfg, args.z, cfg.truncation, word_bytes)
+    _write(args.output, coefficient_tsv(table, names))
     return EXIT_OK
 
 

@@ -24,6 +24,8 @@ G15_WIDTH = 32  # bytes of a g15 field, as 4 uint64 lanes: sign and "0.000", 2 o
 _E_MIN, _E_MAX = -40, 40  # decimal exponents decided without Python's `%` (below _E_MAX)
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter for doubles
 _MASK64 = (1 << 64) - 1
+_G15_LONGEST = 22  # len(b"%.15g" % -1.23456789012345e-308)
+_BLOCK = 4096  # rows per g15 call, which bounds its float64 temporaries
 
 
 @functools.cache
@@ -156,8 +158,22 @@ def _digit_lanes(m: np.ndarray, e: np.ndarray):
 
 def coefficient_tsv(table, names) -> bytes:
     """The rows ``word  re  im  err`` of a ``CoefficientTable`` as UTF-8
-    bytes, each word spelled from the letter ``names``."""
+    bytes, each word spelled from the letter ``names``.  At most two buffers
+    of ``row_width`` bytes per word are alive at once: the rows, then their
+    copy that ``translate`` reads."""
     return _rows(table, names).tobytes().translate(None, b"\0")
+
+
+def row_width(N: int, names, err_len: int = _G15_LONGEST) -> int:
+    """Bytes of a row of the table of words up to length ``N``: the word and a
+    tab, then two g15 fields, then an error of ``err_len`` bytes (by default
+    the longest ``%.15g``) and a newline, each part padded to 8 bytes."""
+    slot = max(len(name.encode()) for name in names) + 1
+    return _pad8(N * slot + 2) + 2 * G15_WIDTH + _pad8(err_len + 1)
+
+
+def _pad8(n: int) -> int:
+    return -(-n // 8) * 8
 
 
 def _rows(table, names) -> np.ndarray:
@@ -166,8 +182,8 @@ def _rows(table, names) -> np.ndarray:
     errs = [b"%.15g" % e for e in table.error_estimates.values()]
     letters = [name.encode() for name in names]
     slot = max(map(len, letters)) + 1  # a letter's name and its "."
-    num = -(-(N * slot + 2) // 8) * 8  # byte of the first number, past the word and a tab
-    width = num + 2 * G15_WIDTH + -(-(max(map(len, errs)) + 1) // 8) * 8
+    num = _pad8(N * slot + 2)  # byte of the first number, past the word and a tab
+    width = row_width(N, names, max(map(len, errs)))
     rows = np.zeros((len(y), width), np.uint8)
     spell = np.zeros((L, slot), np.uint8)
     for i, b in enumerate(letters):
@@ -188,7 +204,9 @@ def _rows(table, names) -> np.ndarray:
         part[:, -1 - len(err) : -1] = np.frombuffer(err, np.uint8)
         lo, prev = lo + L**ln, part
     lanes = rows.view(np.uint64)[:, num // 8 : num // 8 + 8].reshape(len(y), 2, 4)
-    g15(y.view(np.float64).reshape(len(y), 2), lanes)
+    values = y.view(np.float64).reshape(len(y), 2)
+    for lo in range(0, len(y), _BLOCK):
+        g15(values[lo : lo + _BLOCK], lanes[lo : lo + _BLOCK])
     for col in (num - 1, num + G15_WIDTH - 1, num + 2 * G15_WIDTH - 1):
         rows[:, col] = ord("\t")
     rows[:, -1] = ord("\n")

@@ -10,6 +10,7 @@ import yaml
 
 from hyperlog.chen import build_path, eval_coeffs
 from hyperlog.cli import ProblemConfig, load_config, main
+from hyperlog.tsv import row_width
 from hyperlog.words import Alphabet
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,6 +43,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_rejected_under_2gib(argv):
+    """The polylog command ``argv`` exits 2 with ``error: truncation`` before
+    allocating anything; the child runs under a 2 GiB address-space limit, so
+    that a regression fails fast instead of exhausting the machine's memory."""
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from hyperlog.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv, "--config", POLYLOG, "--z", "0.5"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and proc.stderr.startswith("error: truncation")
 
 
 class TestShuffle:
@@ -412,19 +432,12 @@ class TestParsing:
         ids=["eval-40", "grouplike-40", "eval-200", "grouplike-200", "relations-200"],
     )
     def test_truncation_too_large(self, argv):
-        # rejected before anything is allocated; the child runs under a 2 GiB
-        # address-space limit, so that a regression fails fast instead of
-        # exhausting the machine's memory
-        script = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-            "from hyperlog.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        proc = subprocess.run(
-            [sys.executable, "-c", script, *argv, "--config", POLYLOG, "--z", "0.5"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stdout == "" and proc.stderr.startswith("error: truncation")
+        assert_rejected_under_2gib(argv)
+
+    def test_tsv_rows_too_large(self):
+        # the deepest polylog table that fits in physical memory, whose TSV
+        # rows and their copy do not
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        N = max(n for n in range(64) if 16 * (2 ** (n + 1) - 1) <= memory)
+        assert (2 ** (N + 1) - 1) * (16 + 2 * row_width(N, ["x0", "x1"])) > memory
+        assert_rejected_under_2gib(["eval", f"--N={N}"])
