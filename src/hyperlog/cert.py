@@ -26,7 +26,15 @@ from .ratfun import (
     PoleSetMismatchError,
     ResidueObstruction,
 )
-from .words import Word, graded_lex_key
+from .words import Word, graded_starts
+
+# a numeric relation check passes below this defect, at this many endpoints
+NUMERIC_TOL = 1e-8
+FRESH_SAMPLES = 8
+# kernel entries snap to Gaussian rationals of denominator <= SNAP_DENOMINATOR
+# within SNAP_DISTANCE; entries below SNAP_DISTANCE leave the support
+SNAP_DENOMINATOR = 64
+SNAP_DISTANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -227,8 +235,6 @@ def verify_relation(
     z0,
     table: RationalCoefficientTable,
     *,
-    numeric_tol: float = 1e-8,
-    sample_count: int = 8,
     seed: int = 1,
     eval_tol: float = 1e-12,
     margin: float = 0.05,
@@ -251,9 +257,9 @@ def verify_relation(
             return VerificationOutcome(RelationStatus.EXACT, None)
         return VerificationOutcome(RelationStatus.INCONCLUSIVE, None)
     defect = numeric_relation_defect(
-        Q, M, z0, sample_count=sample_count, seed=seed, eval_tol=eval_tol, margin=margin
+        Q, M, z0, sample_count=FRESH_SAMPLES, seed=seed, eval_tol=eval_tol, margin=margin
     )
-    if defect <= numeric_tol:
+    if defect <= NUMERIC_TOL:
         return VerificationOutcome(RelationStatus.NUMERIC, defect)
     return VerificationOutcome(RelationStatus.INCONCLUSIVE, defect)
 
@@ -294,6 +300,17 @@ def _sample_points(M: Multiplier, z0c: complex, count: int, margin: float, seed:
     return points
 
 
+def _endpoint_tables(
+    M: Multiplier, z0, N: int, count: int, seed: int, eval_tol: float, margin: float
+):
+    """(endpoint, coefficient table to depth N) at each of ``count`` sample
+    endpoints, along the path that ``build_path`` lays from z0."""
+    z0c = complex(GaussianRational.of(z0))
+    for zc in _sample_points(M, z0c, count, margin, seed):
+        path = build_path(z0c, zc, M.pole_set.approx, margin)
+        yield zc, eval_coeffs(M, path, N, eval_tol)
+
+
 def sample_matrix(
     M: Multiplier,
     z0,
@@ -306,13 +323,10 @@ def sample_matrix(
 ):
     """Numeric evaluation matrix: rows are sample endpoints, columns the
     words of length <= N in graded lex order."""
-    z0c = complex(GaussianRational.of(z0))
     word_list = M.alphabet.words_up_to(N)
-    points = _sample_points(M, z0c, sample_count, margin, seed)
     A = np.zeros((sample_count, len(word_list)), dtype=complex)
-    for r, zc in enumerate(points):
-        path = build_path(z0c, zc, M.pole_set.approx, margin)
-        T = eval_coeffs(M, path, N, eval_tol)
+    tables = _endpoint_tables(M, z0, N, sample_count, seed, eval_tol, margin)
+    for r, (_, T) in enumerate(tables):
         A[r, :] = T.coeffs
     return A, word_list
 
@@ -328,13 +342,9 @@ def numeric_relation_defect(
     margin: float = 0.05,
 ) -> float:
     """max over sample endpoints of |sum_w <Q|w>(z) <S|w>(z)|."""
-    z0c = complex(GaussianRational.of(z0))
     deg = 0 if Q.is_zero else Q.degree()
-    points = _sample_points(M, z0c, sample_count, margin, seed)
     worst = 0.0
-    for zc in points:
-        path = build_path(z0c, zc, M.pole_set.approx, margin)
-        T = eval_coeffs(M, path, deg, eval_tol)
+    for zc, T in _endpoint_tables(M, z0, deg, sample_count, seed, eval_tol, margin):
         total = 0j
         for w, c in Q.terms.items():
             total += c.evaluate(zc) * T[w]
@@ -342,9 +352,9 @@ def numeric_relation_defect(
     return worst
 
 
-def _canonical_nullspace_basis(B: np.ndarray, word_list) -> list:
-    """Float RREF of the near-null row space, pivoting on the greatest
-    word (graded lex) still available.
+def _canonical_nullspace_basis(B: np.ndarray) -> list:
+    """Float RREF of the near-null row space, pivoting on the last column
+    (columns are words in graded lex order) still available.
 
     SVD returns an arbitrary unitary basis of a multi-dimensional kernel;
     reduced echelon form restores the sparse representatives with each
@@ -352,11 +362,8 @@ def _canonical_nullspace_basis(B: np.ndarray, word_list) -> list:
     succeed vector by vector.
     """
     B = np.array(B, dtype=complex)
-    order = sorted(
-        range(len(word_list)), key=lambda i: graded_lex_key(word_list[i]), reverse=True
-    )
     done = 0
-    for col in order:
+    for col in reversed(range(B.shape[1])):
         if done >= len(B):
             break
         block = np.abs(B[done:, col])
@@ -373,19 +380,14 @@ def _canonical_nullspace_basis(B: np.ndarray, word_list) -> list:
     return [B[r] for r in range(done)]
 
 
-def _snap_fraction(x: float, max_den: int, tol: float):
-    cand = Fraction(x).limit_denominator(max_den)
-    if abs(float(cand) - x) <= tol:
-        return cand
+def _snap_gaussian(zc: complex):
+    """The Gaussian rational whose parts, of denominator at most
+    SNAP_DENOMINATOR, lie within SNAP_DISTANCE of zc's; None if there is none."""
+    parts = (zc.real, zc.imag)
+    snapped = [Fraction(x).limit_denominator(SNAP_DENOMINATOR) for x in parts]
+    if all(abs(float(q) - x) <= SNAP_DISTANCE for q, x in zip(snapped, parts)):
+        return GaussianRational(*snapped)
     return None
-
-
-def _snap_gaussian(zc: complex, max_den: int, tol: float):
-    re = _snap_fraction(zc.real, max_den, tol)
-    im = _snap_fraction(zc.imag, max_den, tol)
-    if re is None or im is None:
-        return None
-    return GaussianRational(re, im)
 
 
 def discover_relations(
@@ -398,52 +400,48 @@ def discover_relations(
     eval_tol: float = 1e-12,
     margin: float = 0.05,
     seed: int = 0,
-    snap_denominator: int = 64,
-    snap_distance: float = 1e-6,
-    fresh_sample_count: int = 8,
-    numeric_tol: float = 1e-8,
 ) -> list[Relation]:
     """Numeric kernel search over the constant-coefficient ansatz on words
     of length <= N, followed by exact (or numeric) verification.
 
-    Near-null right singular vectors (singular value below ``tol`` times
+    A family that ``certify`` finds free has no constant-coefficient
+    relation, so it is answered ``[]`` without sampling.  Otherwise,
+    near-null right singular vectors (singular value below ``tol`` times
     the largest) are normalized monic at their greatest word, snapped to
     small Gaussian rationals, and passed through ``verify_relation``.
     Candidates that fail verification are dropped.
     """
     z0 = GaussianRational.of(z0)
-    word_list = M.alphabet.words_up_to(N)
-    if sample_count < len(word_list):
-        raise ValueError(
-            f"need at least {len(word_list)} samples for {len(word_list)} ansatz words"
-        )
-    A, _ = sample_matrix(
+    n_words = graded_starts(len(M.alphabet), N)[-1]
+    if sample_count < n_words:
+        raise ValueError(f"need at least {n_words} samples for {n_words} ansatz words")
+    if certify(M).is_independent:
+        return []
+    A, word_list = sample_matrix(
         M, z0, N, sample_count, eval_tol=eval_tol, margin=margin, seed=seed
     )
-    _, sing, Vh = np.linalg.svd(A)
-    smax = sing[0] if len(sing) else 0.0
-    if smax == 0.0:
-        return []
-    null_rows = [np.conj(Vh[j, :]) for j in range(len(sing)) if sing[j] <= tol * smax]
+    _, sing, Vh = np.linalg.svd(A)  # sing[0] > 0: the empty word's column is all ones
+    null_rows = [np.conj(Vh[j, :]) for j in range(len(sing)) if sing[j] <= tol * sing[0]]
     if not null_rows:
         return []
     table = rational_coefficient_table(M, z0, N)
     ps = M.pole_set
+    fresh = dict(seed=seed + 1, eval_tol=eval_tol, margin=margin)  # checks use new endpoints
     relations = []
     seen = []
-    for v in _canonical_nullspace_basis(null_rows, word_list):
+    for v in _canonical_nullspace_basis(null_rows):
         v = v / np.max(np.abs(v))
-        support = [i for i in range(len(v)) if abs(v[i]) > snap_distance]
+        support = [i for i in range(len(v)) if abs(v[i]) > SNAP_DISTANCE]
         if not support:
             continue
-        lead = max(support, key=lambda i: graded_lex_key(word_list[i]))
+        lead = support[-1]
         if len(word_list[lead]) == 0:
             continue  # a constant alone cannot pair to zero since <S|1> = 1
         v = v / v[lead]
         coeffs = {}
         snapped = True
         for i in support:
-            g = _snap_gaussian(complex(v[i]), snap_denominator, snap_distance)
+            g = _snap_gaussian(complex(v[i]))
             if g is None:
                 snapped = False
                 g = GaussianRational(
@@ -453,36 +451,16 @@ def discover_relations(
             if not g.is_zero:
                 coeffs[word_list[i]] = PoleLocalizedRational.constant(ps, g)
         Q = NCPolynomial(coeffs)
-        if Q.is_zero or all(len(w) == 0 for w in Q.terms):
-            continue
         if any(Q == prev for prev in seen):
             continue
-        outcome = verify_relation(
-            Q,
-            M,
-            z0,
-            table,
-            numeric_tol=numeric_tol,
-            sample_count=fresh_sample_count,
-            seed=seed + 1,
-            eval_tol=eval_tol,
-            margin=margin,
-        )
+        outcome = verify_relation(Q, M, z0, table, **fresh)
         if outcome.status is RelationStatus.INCONCLUSIVE:
             continue
         status = outcome.status if snapped else RelationStatus.NUMERIC
         defect = outcome.defect
         if defect is None:
-            defect = numeric_relation_defect(
-                Q,
-                M,
-                z0,
-                sample_count=fresh_sample_count,
-                seed=seed + 1,
-                eval_tol=eval_tol,
-                margin=margin,
-            )
+            defect = numeric_relation_defect(Q, M, z0, sample_count=FRESH_SAMPLES, **fresh)
         seen.append(Q)
         relations.append(Relation(poly=Q, status=status, defect=defect))
-    relations.sort(key=lambda rel: sorted(map(graded_lex_key, rel.poly.terms)))
+    relations.sort(key=lambda rel: sorted(rel.poly.terms))
     return relations

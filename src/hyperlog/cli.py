@@ -383,7 +383,9 @@ def _cmd_relations(args) -> int:
     cfg = _require_numeric_config(args)
     words = _word_count(cfg)
     samples = max(cfg.samples, words)
-    _require_memory(cfg, 16 * words * samples)  # the sample matrix
+    # the sample matrix and what np.linalg.svd holds besides it: 7.5-7.9 times
+    # the matrix for square complex ones of 800-2400 words (ru_maxrss, one thread)
+    _require_memory(cfg, 9 * 16 * words * samples)
     found = discover_relations(
         cfg.multiplier,
         cfg.basepoint,

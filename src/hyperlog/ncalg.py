@@ -131,16 +131,16 @@ def pair(S, P: NCPolynomial):
     return 0 if total is None else total
 
 
-def leading_monomial(P: NCPolynomial, alphabet: Alphabet | None = None) -> Word:
+def leading_monomial(P: NCPolynomial) -> Word:
     """Greatest word of the support in graded lex order."""
     if P.is_zero:
         raise ZeroPolynomialError("leading monomial of the zero polynomial")
     return max(P.terms, key=graded_lex_key)
 
 
-def monic_normalize(P: NCPolynomial, alphabet: Alphabet | None = None) -> NCPolynomial:
+def monic_normalize(P: NCPolynomial) -> NCPolynomial:
     """Divide by the leading coefficient (coefficients must form a field)."""
-    lead = leading_monomial(P, alphabet)
+    lead = leading_monomial(P)
     inv = 1 / P.terms[lead]
     return P * inv
 

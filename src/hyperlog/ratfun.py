@@ -77,9 +77,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return _gr(self.re, -self.im)
 
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def __bool__(self):
         return not self.is_zero
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hyperlog import cert
 from hyperlog import (
     Alphabet,
     Dependent,
@@ -291,6 +292,33 @@ class TestDiscoverRelations:
 
     def test_polylog_finds_nothing(self, polylog_multiplier):
         assert discover_relations(polylog_multiplier, -1, 2) == []
+
+    @pytest.mark.parametrize("N", [4, 5, 6])
+    def test_free_family_is_not_sampled(self, polylog_multiplier, monkeypatch, N):
+        # the residue criterion answers a free family: no table is evaluated,
+        # so no ill-conditioned kernel can pass for a relation
+        def no_table(*args, **kwargs):
+            raise AssertionError("a free family must not be sampled")
+
+        monkeypatch.setattr(cert, "eval_coeffs", no_table)
+        words = 2 ** (N + 1) - 1
+        assert discover_relations(polylog_multiplier, -1, N, sample_count=words) == []
+
+    def test_depth4_counterexample(self, counterexample_multiplier, poles01):
+        rels = discover_relations(counterexample_multiplier, -1, 4, sample_count=31)
+        statuses = [r.status for r in rels]
+        assert len(rels) == 16
+        assert statuses.count(RelationStatus.EXACT) == 5
+        assert statuses.count(RelationStatus.NUMERIC) == 11
+        depth2 = expected_counterexample_relation(poles01, Fraction(-1))
+        assert any(r.poly == depth2 and r.status is RelationStatus.EXACT for r in rels)
+        assert len({max(r.poly.terms) for r in rels}) == 16
+        for r in rels:
+            assert r.poly.coeff(max(r.poly.terms)) == PLR.one(poles01)
+            assert r.defect < 1e-9
+            for c in r.poly.terms.values():
+                assert all(q.re.denominator <= 64 and q.im.denominator <= 64
+                           for q in c.poly)
 
     def test_truncation_zero(self, counterexample_multiplier):
         assert discover_relations(counterexample_multiplier, -1, 0) == []

@@ -300,6 +300,13 @@ class TestRelations:
         assert code == 0
         assert out == "no relations found\n"
 
+    def test_polylog_deep_none(self, capsys):
+        # at depth 5 the sample matrix's kernel holds ill-conditioned noise
+        # that once printed as three NUMERIC relations; the family is free
+        code, out, _ = run(capsys, "relations", "--config", POLYLOG, "--N", "5")
+        assert code == 0
+        assert out == "no relations found\n"
+
     def test_truncation_zero_none(self, capsys):
         code, out, _ = run(capsys, "relations", "--config", COUNTER, "--N", "0")
         assert code == 0
@@ -441,3 +448,11 @@ class TestParsing:
         N = max(n for n in range(64) if 16 * (2 ** (n + 1) - 1) <= memory)
         assert (2 ** (N + 1) - 1) * (16 + 2 * row_width(N, ["x0", "x1"])) > memory
         assert_rejected_under_2gib(["eval", f"--N={N}"])
+
+    def test_relations_svd_too_large(self):
+        # the deepest polylog sample matrix (samples = words) that fits in
+        # physical memory, whose SVD does not
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        N = max(n for n in range(64) if 16 * (2 ** (n + 1) - 1) ** 2 <= memory)
+        assert 9 * 16 * (2 ** (N + 1) - 1) ** 2 > memory
+        assert_rejected_under_2gib(["relations", f"--N={N}"])

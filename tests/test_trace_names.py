@@ -71,3 +71,35 @@ def test_exact_layers_record_calls(monkeypatch):
         assert calls.get(name, 0) > 0, name
     for name in ("ncalg.shuffle_product.terms_out", "ratfun.residue_obstructions"):
         assert tracer.counts[name] > 0, name
+
+
+def traced_relations_calls(capsys, config):
+    """Calls per traced name in one traced ``hyperlog relations --N=2`` run."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.attach(0)
+    try:
+        assert cli.main(["relations", "--config", config, "--N=2"]) == 0
+    finally:
+        tracer.detach()
+    assert capsys.readouterr().out
+    return {name: n for name, (n, _) in tracing.self_times(tracer.spans).items()}
+
+
+def test_relations_layers_record_calls(capsys):
+    """The relation search reaches the numeric layers through the traced
+    names in ``cert``; one shared sampling loop must not bypass them."""
+    configs = TRACING.parents[1] / "configs"
+    calls = traced_relations_calls(capsys, str(configs / "counterexample.yaml"))
+    for name in (
+        "cert.certify",
+        "cert.sample_matrix",
+        "cert.verify_relation",
+        "cert.numeric_relation_defect",
+        "chen.eval_coeffs",
+    ):
+        assert calls.get(name, 0) > 0, name
+    # a free family is answered by the residue criterion alone
+    calls = traced_relations_calls(capsys, str(configs / "polylog.yaml"))
+    assert calls.get("cert.certify", 0) > 0
+    assert calls.get("chen.eval_coeffs", 0) == 0
