@@ -91,12 +91,6 @@ class RationalCoefficientTable:
     z0: GaussianRational
     truncation: int
 
-    def __contains__(self, w):
-        return Word(w) in self.entries
-
-    def __getitem__(self, w):
-        return self.entries[Word(w)]
-
 
 def residue_matrix(M: Multiplier):
     """Rows indexed by poles, columns by letters: entry (i, x) is the
@@ -186,9 +180,7 @@ def witness_to_degree1_relation(
         if not a.is_zero:
             terms[Word((letter.index,))] = PoleLocalizedRational.constant(ps, a)
     Q = NCPolynomial(terms)
-    table = rational_coefficient_table(M, z0, 0)
-    outcome = verify_relation(Q, M, z0, table)
-    return Relation(poly=Q, status=outcome.status, defect=outcome.defect)
+    return verify_relation(Q, M, z0, rational_coefficient_table(M, z0, 0))
 
 
 def rational_coefficient_table(M: Multiplier, z0, N: int) -> RationalCoefficientTable:
@@ -223,12 +215,6 @@ def rational_coefficient_table(M: Multiplier, z0, N: int) -> RationalCoefficient
     )
 
 
-@dataclass
-class VerificationOutcome:
-    status: RelationStatus
-    defect: float | None = None
-
-
 def verify_relation(
     Q: NCPolynomial,
     M: Multiplier,
@@ -238,12 +224,13 @@ def verify_relation(
     seed: int = 1,
     eval_tol: float = 1e-12,
     margin: float = 0.05,
-) -> VerificationOutcome:
+) -> Relation:
     """Check pair(S, Q) = 0 via the reduction: d<S|Q> = <S|D(Q)>, so Q is
     a relation iff <S|D(Q)> is identically zero and <S|Q> vanishes at z0.
 
     When every word of supp(D(Q)) has an exact entry the check is exact;
     otherwise it falls back to the numeric defect at sample endpoints.
+    Returns Q as a Relation with that status and defect.
     """
     z0 = GaussianRational.of(z0)
     D = reduce_poly(Q, M)
@@ -254,14 +241,14 @@ def verify_relation(
         const = Q.coeff(Word(), None)
         const_ok = const is None or const.evaluate_exact(z0).is_zero
         if value.is_zero and const_ok:
-            return VerificationOutcome(RelationStatus.EXACT, None)
-        return VerificationOutcome(RelationStatus.INCONCLUSIVE, None)
+            return Relation(Q, RelationStatus.EXACT)
+        return Relation(Q, RelationStatus.INCONCLUSIVE)
     defect = numeric_relation_defect(
         Q, M, z0, sample_count=FRESH_SAMPLES, seed=seed, eval_tol=eval_tol, margin=margin
     )
     if defect <= NUMERIC_TOL:
-        return VerificationOutcome(RelationStatus.NUMERIC, defect)
-    return VerificationOutcome(RelationStatus.INCONCLUSIVE, defect)
+        return Relation(Q, RelationStatus.NUMERIC, defect)
+    return Relation(Q, RelationStatus.INCONCLUSIVE, defect)
 
 
 def _sample_points(M: Multiplier, z0c: complex, count: int, margin: float, seed: int):
@@ -411,12 +398,12 @@ def discover_relations(
     small Gaussian rationals, and passed through ``verify_relation``.
     Candidates that fail verification are dropped.
     """
+    if certify(M).is_independent:
+        return []
     z0 = GaussianRational.of(z0)
     n_words = graded_starts(len(M.alphabet), N)[-1]
     if sample_count < n_words:
         raise ValueError(f"need at least {n_words} samples for {n_words} ansatz words")
-    if certify(M).is_independent:
-        return []
     A, word_list = sample_matrix(
         M, z0, N, sample_count, eval_tol=eval_tol, margin=margin, seed=seed
     )

@@ -225,9 +225,6 @@ class CoefficientTable:
     def __getitem__(self, w) -> complex:
         return complex(self.coeffs[self.position(w)])
 
-    def get(self, w, default=None):
-        return self.values.get(w, default)
-
     def __contains__(self, w):
         return w in self.values
 

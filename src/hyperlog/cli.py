@@ -40,7 +40,7 @@ from .ratfun import (
     parse_plr,
 )
 from .tsv import coefficient_tsv, row_width
-from .words import Alphabet, graded_starts
+from .words import Alphabet, Word, graded_starts
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -54,43 +54,34 @@ class ConfigError(ValueError):
 
 
 class ProblemConfig:
-    """Multiplier plus evaluation defaults parsed from a YAML config."""
+    """Multiplier plus evaluation defaults parsed from a YAML config.
+
+    A malformed shape raises ConfigError; a malformed value raises the
+    ValueError of its parser, which :func:`load_config` reports as one."""
 
     def __init__(self, data: dict):
         if not isinstance(data, dict):
             raise ConfigError("config root must be a mapping")
         letters = data.get("letters")
-        if not letters:
+        if not letters or not isinstance(letters, list):
             raise ConfigError("config needs a nonempty 'letters' list")
-        names = []
-        for entry in letters:
-            if "name" not in entry:
-                raise ConfigError("each letter needs a 'name'")
-            names.append(str(entry["name"]))
-        try:
-            self.alphabet = Alphabet(names)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        if not all(isinstance(entry, dict) and "name" in entry for entry in letters):
+            raise ConfigError("each letter must be a mapping with a 'name'")
+        poles = data.get("poles", [])
+        if not isinstance(poles, list):
+            raise ConfigError("'poles' must be a list")
+        self.alphabet = Alphabet([str(entry["name"]) for entry in letters])
 
-        declared = [str(p) for p in data.get("poles", [])]
-        pole_values = [parse_gaussian(p) for p in declared]
-        explicit = bool(pole_values)
-        needs_explicit = any("u" in e for e in letters)
-        if needs_explicit and not explicit:
-            raise ConfigError("letters with full 'u' require a top-level 'poles' list")
-        if not explicit:
-            seen = []
+        pole_values = [parse_gaussian(str(p)) for p in poles]
+        if not pole_values:
+            if any("u" in entry for entry in letters):
+                raise ConfigError("letters with full 'u' require a top-level 'poles' list")
             for entry in letters:
                 if "pole" not in entry:
                     raise ConfigError(f"letter {entry['name']}: need 'pole' or 'u'")
-                p = parse_gaussian(str(entry["pole"]))
-                if p not in seen:
-                    seen.append(p)
-            pole_values = seen
-        try:
-            self.pole_set = PoleSet(pole_values)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            # each distinct pole once, in the order the letters name them
+            pole_values = list(dict.fromkeys(parse_gaussian(str(e["pole"])) for e in letters))
+        self.pole_set = PoleSet(pole_values)
 
         terms = {}
         for idx, entry in enumerate(letters):
@@ -102,30 +93,27 @@ class ProblemConfig:
             elif "pole" in entry:
                 p = parse_gaussian(str(entry["pole"]))
                 weight = parse_gaussian(str(entry.get("weight", "1")))
-                pole_index = next(
-                    (i for i, a in enumerate(self.pole_set) if a == p), None
-                )
-                if pole_index is None:
+                if p not in self.pole_set.points:
                     raise ConfigError(
                         f"letter {entry['name']}: pole {format_gaussian(p)} "
                         "not in the declared pole list"
                     )
                 terms[idx] = PoleLocalizedRational.simple_pole(
-                    self.pole_set, pole_index, weight
+                    self.pole_set, self.pole_set.points.index(p), weight
                 )
             else:
                 raise ConfigError(f"letter {entry['name']}: need 'pole' or 'u'")
         self.multiplier = Multiplier(self.alphabet, self.pole_set, terms)
 
+        self.basepoint = parse_gaussian(str(data.get("basepoint", "-1")))
         try:
-            self.basepoint = parse_gaussian(str(data.get("basepoint", "-1")))
             self.truncation = int(data.get("truncation", 3))
             self.tol = float(data.get("tol", 1e-12))
             self.margin = float(data.get("margin", 0.05))
             self.seed = int(data.get("seed", 0))
             self.samples = int(data.get("samples", 24))
             self.relation_tol = float(data.get("relation_tol", 1e-8))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad scalar field: {exc}") from None
         self.validate()
 
@@ -156,7 +144,10 @@ def load_config(path: str) -> ProblemConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from None
-    return ProblemConfig(data or {})
+    try:
+        return ProblemConfig(data or {})
+    except ValueError as exc:  # from the parsers, Alphabet or PoleSet
+        raise ConfigError(str(exc)) from None
 
 
 def _parse_complex(text: str) -> complex:
@@ -356,7 +347,7 @@ def _cmd_grouplike(args) -> int:
     cfg = _require_numeric_config(args)
     table = _table_for_endpoint(cfg, args.z, cfg.truncation)
     if args.corrupt and cfg.truncation >= 2:
-        table.values[next(cfg.alphabet.words_of_length(2))] += 0.1
+        table.values[Word((0, 0))] += 0.1
     defect, worst = grouplike_report(table)
     lines = [f"defect\t{_fmt(defect)}"]
     if worst is not None:
@@ -383,9 +374,10 @@ def _cmd_relations(args) -> int:
     cfg = _require_numeric_config(args)
     words = _word_count(cfg)
     samples = max(cfg.samples, words)
-    # the sample matrix and what np.linalg.svd holds besides it: 7.5-7.9 times
-    # the matrix for square complex ones of 800-2400 words (ru_maxrss, one thread)
-    _require_memory(cfg, 9 * 16 * words * samples)
+    if not certify(cfg.multiplier).is_independent:  # a free family is never sampled
+        # the sample matrix and what np.linalg.svd holds besides it: 7.5-7.9 times
+        # the matrix for square complex ones of 800-2400 words (ru_maxrss, one thread)
+        _require_memory(cfg, 9 * 16 * words * samples)
     found = discover_relations(
         cfg.multiplier,
         cfg.basepoint,

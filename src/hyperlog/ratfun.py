@@ -210,17 +210,20 @@ def parse_gaussian(text: str) -> GaussianRational:
         raise ValueError(f"cannot parse Gaussian rational {text!r}")
     re_part = Fraction(0)
     im_part = Fraction(0)
-    for term in terms:
-        if term.endswith("i"):
-            body = term[:-1].rstrip("*")
-            if body in ("", "+"):
-                im_part += 1
-            elif body == "-":
-                im_part -= 1
+    try:
+        for term in terms:
+            if term.endswith("i"):
+                body = term[:-1].rstrip("*")
+                if body in ("", "+"):
+                    im_part += 1
+                elif body == "-":
+                    im_part -= 1
+                else:
+                    im_part += Fraction(body)
             else:
-                im_part += Fraction(body)
-        else:
-            re_part += Fraction(term)
+                re_part += Fraction(term)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in Gaussian rational {text!r}") from None
     return GaussianRational(re_part, im_part)
 
 
@@ -553,22 +556,13 @@ def format_plr(f: PoleLocalizedRational) -> str:
     return "; ".join(parts)
 
 
-def _split_top_level(s: str, sep: str):
-    depth = 0
-    out = []
-    cur = []
-    for ch in s:
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        if ch == sep and depth == 0:
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    out.append("".join(cur))
-    return out
+# One section of the normal form (the text splits into sections at every
+# `;`), and one `(i,k): c` entry of a `pp` section; parse_gaussian reads
+# the coefficients.
+_SECTION_RE = re.compile(
+    r"\s*(?:poly\s*:\s*\[\s*(?P<poly>.*?)\s*\]|pp\s*:\s*\{\s*(?P<pp>.*?)\s*\})\s*", re.S
+)
+_ENTRY_RE = re.compile(r"\s*\(([^,:]*),([^,:]*)\)\s*:([^,]*)")
 
 
 def parse_plr(text: str, pole_set: PoleSet) -> PoleLocalizedRational:
@@ -576,33 +570,19 @@ def parse_plr(text: str, pole_set: PoleSet) -> PoleLocalizedRational:
     poly = []
     pp = {}
     for section in text.split(";"):
-        section = section.strip()
-        if not section:
+        if not section.strip():
             continue
-        key, _, body = section.partition(":")
-        key = key.strip()
-        body = body.strip()
-        if key == "poly":
-            if not (body.startswith("[") and body.endswith("]")):
-                raise ValueError(f"bad poly section {section!r}")
-            inner = body[1:-1].strip()
-            if inner:
-                poly = [parse_gaussian(t) for t in _split_top_level(inner, ",")]
-        elif key == "pp":
-            if not (body.startswith("{") and body.endswith("}")):
-                raise ValueError(f"bad pp section {section!r}")
-            inner = body[1:-1].strip()
-            if not inner:
-                continue
-            for entry in _split_top_level(inner, ","):
-                lhs, _, rhs = entry.partition(":")
-                lhs = lhs.strip()
-                if not (lhs.startswith("(") and lhs.endswith(")")):
-                    raise ValueError(f"bad pp key in {entry!r}")
-                i_txt, k_txt = lhs[1:-1].split(",")
-                pp[(int(i_txt), int(k_txt))] = parse_gaussian(rhs.strip())
-        else:
-            raise ValueError(f"unknown section {key!r}")
+        m = _SECTION_RE.fullmatch(section)
+        if m is None:
+            raise ValueError(f"bad normal-form section {section.strip()!r}")
+        if m["poly"]:
+            poly = [parse_gaussian(c) for c in m["poly"].split(",")]
+        # entries are split at the commas that open the next `(i,k)`
+        for entry in re.split(r",(?=\s*\()", m["pp"]) if m["pp"] else ():
+            e = _ENTRY_RE.fullmatch(entry)
+            if e is None:
+                raise ValueError(f"bad pp entry {entry.strip()!r}")
+            pp[(int(e[1]), int(e[2]))] = parse_gaussian(e[3].strip())
     return PoleLocalizedRational(pole_set, poly, pp)
 
 

@@ -111,12 +111,6 @@ class Alphabet:
             return "1"
         return ".".join(self.letters[i].name for i in w)
 
-    def words_of_length(self, n: int) -> Iterator[Word]:
-        """Length-n words in ascending (graded) lex order."""
-        # product yields tuples of ints already; skip Word's per-letter int()
-        for combo in itertools.product(range(len(self.letters)), repeat=n):
-            yield tuple.__new__(Word, combo)
-
     def words_up_to(self, n: int) -> list[Word]:
         """All words of length <= n, graded lex ascending."""
         return graded_words(len(self.letters), n)

@@ -45,10 +45,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def assert_rejected_under_2gib(argv):
-    """The polylog command ``argv`` exits 2 with ``error: truncation`` before
-    allocating anything; the child runs under a 2 GiB address-space limit, so
-    that a regression fails fast instead of exhausting the machine's memory."""
+def run_under_2gib(argv, config):
+    """Run the command ``argv`` on ``config`` in a child under a 2 GiB
+    address-space limit, so that a regression that allocates fails fast
+    instead of exhausting the machine's memory."""
     script = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
@@ -56,12 +56,27 @@ def assert_rejected_under_2gib(argv):
         "sys.exit(main(sys.argv[1:]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *argv, "--config", POLYLOG, "--z", "0.5"],
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv, "--config", config, "--z", "0.5"],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def assert_rejected_under_2gib(argv, config=POLYLOG):
+    """The command ``argv`` on ``config`` exits 2 with ``error: truncation``
+    before allocating anything."""
+    proc = run_under_2gib(argv, config)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == "" and proc.stderr.startswith("error: truncation")
+
+
+def deepest_svd_that_does_not_fit():
+    """The deepest two-letter truncation whose sample matrix (samples = words)
+    fits in physical memory while its SVD does not."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    N = max(n for n in range(64) if 16 * (2 ** (n + 1) - 1) ** 2 <= memory)
+    assert 9 * 16 * (2 ** (N + 1) - 1) ** 2 > memory
+    return N
 
 
 class TestShuffle:
@@ -399,6 +414,36 @@ class TestParsing:
         assert out == "" and err.startswith("error: letter coefficients")
         assert run(capsys, "certify", "--config", str(bad)) == (0, "INDEPENDENT\n", "")
 
+    @pytest.mark.parametrize(
+        "config, old, new",
+        [
+            (POLYLOG, None, "letters: [1, 2]\n"),
+            (POLYLOG, 'poles: ["0", "1"]', "poles: 5"),
+            (POLYLOG, 'poles: ["0", "1"]', "poles: [abc]"),
+            (POLYLOG, 'pole: "1"', 'pole: "abc"'),
+            (POLYLOG, 'weight: "-1"', 'weight: "abc"'),
+            (COUNTER, "pp: {(1,2): 1}", "pp: {(1,2): 1/0}"),
+            (POLYLOG, 'weight: "-1"', 'weight: "1/0"'),
+            (POLYLOG, 'poles: ["0", "1"]', 'poles: ["0", "1/0"]'),
+            (POLYLOG, 'basepoint: "-1"', 'basepoint: "1/0"'),
+            (POLYLOG, "truncation: 4", "truncation: .inf"),
+        ],
+        ids=[
+            "letters-not-mappings", "poles-not-list", "poles-junk", "pole-junk", "weight-junk",
+            "u-zero-denominator", "weight-zero-denominator", "pole-zero-denominator",
+            "basepoint-zero-denominator", "truncation-infinite",
+        ],
+    )
+    def test_malformed_config_field(self, capsys, tmp_path, config, old, new):
+        # each once crashed with a traceback and exit 1
+        bad = tmp_path / "bad.yaml"
+        text = Path(config).read_text()
+        bad.write_text(new if old is None else text.replace(old, new))
+        assert bad.read_text() != text
+        code, out, err = run(capsys, "certify", "--config", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
     def test_bad_z_format(self, capsys):
         code, _, _ = run(capsys, "eval", "--config", POLYLOG, "--z", "nope")
         assert code == 2
@@ -439,7 +484,9 @@ class TestParsing:
         ids=["eval-40", "grouplike-40", "eval-200", "grouplike-200", "relations-200"],
     )
     def test_truncation_too_large(self, argv):
-        assert_rejected_under_2gib(argv)
+        # relations checks memory only for a dependent family; a free one
+        # is answered without an array (test_free_family_needs_no_memory)
+        assert_rejected_under_2gib(argv, COUNTER if argv[0] == "relations" else POLYLOG)
 
     def test_tsv_rows_too_large(self):
         # the deepest polylog table that fits in physical memory, whose TSV
@@ -450,9 +497,12 @@ class TestParsing:
         assert_rejected_under_2gib(["eval", f"--N={N}"])
 
     def test_relations_svd_too_large(self):
-        # the deepest polylog sample matrix (samples = words) that fits in
-        # physical memory, whose SVD does not
-        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        N = max(n for n in range(64) if 16 * (2 ** (n + 1) - 1) ** 2 <= memory)
-        assert 9 * 16 * (2 ** (N + 1) - 1) ** 2 > memory
-        assert_rejected_under_2gib(["relations", f"--N={N}"])
+        assert_rejected_under_2gib(["relations", f"--N={deepest_svd_that_does_not_fit()}"], COUNTER)
+
+    @pytest.mark.parametrize("N", ["svd", "200"])
+    def test_free_family_needs_no_memory(self, N):
+        # the residue criterion answers polylog without sampling, even at
+        # depths whose sample matrix would not fit in memory
+        N = deepest_svd_that_does_not_fit() if N == "svd" else int(N)
+        proc = run_under_2gib(["relations", f"--N={N}"], POLYLOG)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "no relations found\n", "")

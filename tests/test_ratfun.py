@@ -70,7 +70,7 @@ class TestGaussianRational:
             assert parse_gaussian(format_gaussian(q)) == q
 
     def test_parse_rejects_junk(self):
-        for bad in ["", "1//2", "x", "1+2j"]:
+        for bad in ["", "1//2", "x", "1+2j", "1/0", "0/0", "1+2/0*i", "-3/0*i"]:
             with pytest.raises(ValueError):
                 parse_gaussian(bad)
 
@@ -375,3 +375,21 @@ class TestTextForms:
             parse_plr("nope: [1]", ps)
         with pytest.raises(ValueError):
             parse_plr("poly: {1}", ps)
+        for bad in [
+            "poly: [1/0]",
+            "pp: {(0,1): 1/0}",
+            "pp: {(0,1) 1}",
+            "pp: {(0,1): 1,}",
+            "pp: {(0,1): 1, , (1,1): 2}",
+            "pp: {(0): 1}",
+            "pp: {(0,1,2): 1}",
+            "pp: {(x,1): 1}",
+            "pp: {0,1: 1}",
+            "pp: {(0,1): (1,2)}",
+            "pp: {(0,1): 1",
+            "pp: {(0,1): 1}}",
+            "pp: {(5,1): 1}",
+            "pp: {(0,0): 1}",
+        ]:
+            with pytest.raises(ValueError):
+                parse_plr(bad, ps)

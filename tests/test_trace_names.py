@@ -73,16 +73,15 @@ def test_exact_layers_record_calls(monkeypatch):
         assert tracer.counts[name] > 0, name
 
 
-def traced_relations_calls(capsys, config):
-    """Calls per traced name in one traced ``hyperlog relations --N=2`` run."""
+def traced_calls(*argv):
+    """Calls per traced name in one traced ``hyperlog`` run of ``argv``."""
     tracing = load_tracing()
     tracer = tracing.Tracer()
     tracer.attach(0)
     try:
-        assert cli.main(["relations", "--config", config, "--N=2"]) == 0
+        assert cli.main(list(argv)) == 0
     finally:
         tracer.detach()
-    assert capsys.readouterr().out
     return {name: n for name, (n, _) in tracing.self_times(tracer.spans).items()}
 
 
@@ -90,7 +89,8 @@ def test_relations_layers_record_calls(capsys):
     """The relation search reaches the numeric layers through the traced
     names in ``cert``; one shared sampling loop must not bypass them."""
     configs = TRACING.parents[1] / "configs"
-    calls = traced_relations_calls(capsys, str(configs / "counterexample.yaml"))
+    calls = traced_calls("relations", "--config", str(configs / "counterexample.yaml"), "--N=2")
+    assert capsys.readouterr().out
     for name in (
         "cert.certify",
         "cert.sample_matrix",
@@ -100,6 +100,22 @@ def test_relations_layers_record_calls(capsys):
     ):
         assert calls.get(name, 0) > 0, name
     # a free family is answered by the residue criterion alone
-    calls = traced_relations_calls(capsys, str(configs / "polylog.yaml"))
+    calls = traced_calls("relations", "--config", str(configs / "polylog.yaml"), "--N=2")
+    assert capsys.readouterr().out
     assert calls.get("cert.certify", 0) > 0
     assert calls.get("chen.eval_coeffs", 0) == 0
+
+
+def test_eval_deep_layers_record_calls(tmp_path):
+    """The commands of an ``eval-deep`` task, ``eval`` then ``grouplike``,
+    must record calls under each layer name the workload gates; a reworked
+    ``load_config`` or an inlined ``chen`` step would otherwise turn its
+    metric into a silent 0."""
+    common = ["--config", str(TRACING.parents[1] / "configs" / "polylog.yaml"), "--z=0.5,0.25"]
+    layers = ("cli.main", "cli.load_config", "chen.build_path", "chen.eval_coeffs")
+    calls = traced_calls("eval", *common, "--N=6", f"--output={tmp_path / 'eval.tsv'}")
+    for name in layers:
+        assert calls.get(name, 0) > 0, name
+    calls = traced_calls("grouplike", *common, "--N=5", f"--output={tmp_path / 'grouplike.txt'}")
+    for name in (*layers, "chen.grouplike_report"):
+        assert calls.get(name, 0) > 0, name
