@@ -31,9 +31,14 @@ from .words import Word, graded_starts
 # a numeric relation check passes below this defect, at this many endpoints
 NUMERIC_TOL = 1e-8
 FRESH_SAMPLES = 8
-# kernel entries snap to Gaussian rationals of denominator <= SNAP_DENOMINATOR
-# within SNAP_DISTANCE; entries below SNAP_DISTANCE leave the support
-SNAP_DENOMINATOR = 64
+# the relation search samples max(MIN_SAMPLES, words) endpoints and keeps the
+# right singular vectors below RELATION_TOL times the largest singular value
+MIN_SAMPLES = 24
+RELATION_TOL = 1e-8
+# kernel entries snap to the closest Gaussian rationals of denominator at most
+# SNAP_DENOMINATOR, which must lie within SNAP_DISTANCE; entries below
+# SNAP_DISTANCE leave the support
+SNAP_DENOMINATOR = 10**4
 SNAP_DISTANCE = 1e-6
 
 
@@ -368,8 +373,8 @@ def _canonical_nullspace_basis(B: np.ndarray) -> list:
 
 
 def _snap_gaussian(zc: complex):
-    """The Gaussian rational whose parts, of denominator at most
-    SNAP_DENOMINATOR, lie within SNAP_DISTANCE of zc's; None if there is none."""
+    """The closest Gaussian rational whose parts have denominators at most
+    SNAP_DENOMINATOR, if its parts lie within SNAP_DISTANCE of zc's; else None."""
     parts = (zc.real, zc.imag)
     snapped = [Fraction(x).limit_denominator(SNAP_DENOMINATOR) for x in parts]
     if all(abs(float(q) - x) <= SNAP_DISTANCE for q, x in zip(snapped, parts)):
@@ -377,12 +382,15 @@ def _snap_gaussian(zc: complex):
     return None
 
 
+def relation_samples(n_words: int) -> int:
+    """The sample endpoints of the relation search over ``n_words`` words."""
+    return max(MIN_SAMPLES, n_words)
+
+
 def discover_relations(
     M: Multiplier,
     z0,
     N: int,
-    sample_count: int = 24,
-    tol: float = 1e-8,
     *,
     eval_tol: float = 1e-12,
     margin: float = 0.05,
@@ -393,29 +401,25 @@ def discover_relations(
 
     A family that ``certify`` finds free has no constant-coefficient
     relation, so it is answered ``[]`` without sampling.  Otherwise,
-    near-null right singular vectors (singular value below ``tol`` times
-    the largest) are normalized monic at their greatest word, snapped to
-    small Gaussian rationals, and passed through ``verify_relation``.
-    Candidates that fail verification are dropped.
+    near-null right singular vectors (singular value below RELATION_TOL
+    times the largest) are normalized monic at their greatest word and
+    snapped to Gaussian rationals; a vector with an entry that does not
+    snap is no candidate.  Each candidate keeps the status
+    ``verify_relation`` gives it, and those that fail are dropped.
     """
     if certify(M).is_independent:
         return []
     z0 = GaussianRational.of(z0)
-    n_words = graded_starts(len(M.alphabet), N)[-1]
-    if sample_count < n_words:
-        raise ValueError(f"need at least {n_words} samples for {n_words} ansatz words")
-    A, word_list = sample_matrix(
-        M, z0, N, sample_count, eval_tol=eval_tol, margin=margin, seed=seed
-    )
+    samples = relation_samples(graded_starts(len(M.alphabet), N)[-1])
+    A, word_list = sample_matrix(M, z0, N, samples, eval_tol=eval_tol, margin=margin, seed=seed)
     _, sing, Vh = np.linalg.svd(A)  # sing[0] > 0: the empty word's column is all ones
-    null_rows = [np.conj(Vh[j, :]) for j in range(len(sing)) if sing[j] <= tol * sing[0]]
+    null_rows = [np.conj(Vh[j]) for j in range(len(sing)) if sing[j] <= RELATION_TOL * sing[0]]
     if not null_rows:
         return []
     table = rational_coefficient_table(M, z0, N)
     ps = M.pole_set
     fresh = dict(seed=seed + 1, eval_tol=eval_tol, margin=margin)  # checks use new endpoints
     relations = []
-    seen = []
     for v in _canonical_nullspace_basis(null_rows):
         v = v / np.max(np.abs(v))
         support = [i for i in range(len(v)) if abs(v[i]) > SNAP_DISTANCE]
@@ -425,29 +429,17 @@ def discover_relations(
         if len(word_list[lead]) == 0:
             continue  # a constant alone cannot pair to zero since <S|1> = 1
         v = v / v[lead]
-        coeffs = {}
-        snapped = True
-        for i in support:
-            g = _snap_gaussian(complex(v[i]))
-            if g is None:
-                snapped = False
-                g = GaussianRational(
-                    Fraction(float(v[i].real)).limit_denominator(10**12),
-                    Fraction(float(v[i].imag)).limit_denominator(10**12),
-                )
-            if not g.is_zero:
-                coeffs[word_list[i]] = PoleLocalizedRational.constant(ps, g)
-        Q = NCPolynomial(coeffs)
-        if any(Q == prev for prev in seen):
+        snapped = {word_list[i]: _snap_gaussian(complex(v[i])) for i in support}
+        if None in snapped.values():
+            continue  # a coefficient that does not snap: no candidate
+        Q = NCPolynomial({w: PoleLocalizedRational.constant(ps, g) for w, g in snapped.items()})
+        if any(Q == rel.poly for rel in relations):
             continue
-        outcome = verify_relation(Q, M, z0, table, **fresh)
-        if outcome.status is RelationStatus.INCONCLUSIVE:
+        rel = verify_relation(Q, M, z0, table, **fresh)
+        if rel.status is RelationStatus.INCONCLUSIVE:
             continue
-        status = outcome.status if snapped else RelationStatus.NUMERIC
-        defect = outcome.defect
-        if defect is None:
-            defect = numeric_relation_defect(Q, M, z0, sample_count=FRESH_SAMPLES, **fresh)
-        seen.append(Q)
-        relations.append(Relation(poly=Q, status=status, defect=defect))
+        if rel.defect is None:
+            rel.defect = numeric_relation_defect(Q, M, z0, sample_count=FRESH_SAMPLES, **fresh)
+        relations.append(rel)
     relations.sort(key=lambda rel: sorted(rel.poly.terms))
     return relations

@@ -12,15 +12,10 @@ import math
 import os
 import re
 import sys
-from fractions import Fraction
 
 import yaml
 
-from .cert import (
-    RelationStatus,
-    certify,
-    discover_relations,
-)
+from .cert import certify, discover_relations, relation_samples
 from .chen import (
     PathGeometryError,
     StepSizeUnderflowError,
@@ -36,6 +31,7 @@ from .ratfun import (
     PoleSet,
     format_gaussian,
     format_plr_pretty,
+    parse_fraction,
     parse_gaussian,
     parse_plr,
 )
@@ -51,6 +47,14 @@ EXIT_GROUPLIKE = 11
 
 class ConfigError(ValueError):
     pass
+
+
+def _integer_field(data: dict, name: str, default: int) -> int:
+    """A YAML integer; a float, a boolean or a string is a ConfigError."""
+    value = data.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 class ProblemConfig:
@@ -106,13 +110,11 @@ class ProblemConfig:
         self.multiplier = Multiplier(self.alphabet, self.pole_set, terms)
 
         self.basepoint = parse_gaussian(str(data.get("basepoint", "-1")))
+        self.truncation = _integer_field(data, "truncation", 3)
+        self.seed = _integer_field(data, "seed", 0)
         try:
-            self.truncation = int(data.get("truncation", 3))
             self.tol = float(data.get("tol", 1e-12))
             self.margin = float(data.get("margin", 0.05))
-            self.seed = int(data.get("seed", 0))
-            self.samples = int(data.get("samples", 24))
-            self.relation_tol = float(data.get("relation_tol", 1e-8))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad scalar field: {exc}") from None
         self.validate()
@@ -166,7 +168,7 @@ def _parse_exact_point(text: str) -> GaussianRational:
     try:
         if "," in text:
             re_txt, im_txt = text.split(",")
-            return GaussianRational(Fraction(re_txt.strip()), Fraction(im_txt.strip()))
+            return GaussianRational(parse_fraction(re_txt), parse_fraction(im_txt))
         return parse_gaussian(text)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"cannot parse exact point {text!r}") from None
@@ -372,21 +374,14 @@ def _cmd_certify(args) -> int:
 
 def _cmd_relations(args) -> int:
     cfg = _require_numeric_config(args)
-    words = _word_count(cfg)
-    samples = max(cfg.samples, words)
     if not certify(cfg.multiplier).is_independent:  # a free family is never sampled
         # the sample matrix and what np.linalg.svd holds besides it: 7.5-7.9 times
         # the matrix for square complex ones of 800-2400 words (ru_maxrss, one thread)
-        _require_memory(cfg, 9 * 16 * words * samples)
+        words = _word_count(cfg)
+        _require_memory(cfg, 9 * 16 * words * relation_samples(words))
     found = discover_relations(
-        cfg.multiplier,
-        cfg.basepoint,
-        cfg.truncation,
-        sample_count=samples,
-        tol=cfg.relation_tol,
-        eval_tol=cfg.tol,
-        margin=cfg.margin,
-        seed=cfg.seed,
+        cfg.multiplier, cfg.basepoint, cfg.truncation,
+        eval_tol=cfg.tol, margin=cfg.margin, seed=cfg.seed,
     )
     if not found:
         _print(args.output, ["no relations found"])

@@ -198,6 +198,19 @@ def format_gaussian(q: GaussianRational) -> str:
 
 
 _TERM_RE = re.compile(r"[+-]?[^+-]+")
+# Fraction expands a decimal exponent in full, so its magnitude is held to the
+# limit Python puts on the digits of an int string
+MAX_DECIMAL_EXPONENT = sys.int_info.default_max_str_digits
+_EXPONENT_RE = re.compile(r"[eE][+-]?0*(\d+)")
+
+
+def parse_fraction(text: str) -> Fraction:
+    """``Fraction(text)``; ValueError for a decimal exponent whose magnitude
+    exceeds MAX_DECIMAL_EXPONENT."""
+    m = _EXPONENT_RE.search(text)
+    if m and (len(m[1]) > len(str(MAX_DECIMAL_EXPONENT)) or int(m[1]) > MAX_DECIMAL_EXPONENT):
+        raise ValueError(f"decimal exponent of {text!r} exceeds {MAX_DECIMAL_EXPONENT}")
+    return Fraction(text)
 
 
 def parse_gaussian(text: str) -> GaussianRational:
@@ -219,9 +232,9 @@ def parse_gaussian(text: str) -> GaussianRational:
                 elif body == "-":
                     im_part -= 1
                 else:
-                    im_part += Fraction(body)
+                    im_part += parse_fraction(body)
             else:
-                re_part += Fraction(term)
+                re_part += parse_fraction(term)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in Gaussian rational {text!r}") from None
     return GaussianRational(re_part, im_part)

@@ -19,6 +19,7 @@ from hyperlog import (
     discover_relations,
     format_plr,
     numeric_relation_defect,
+    parse_gaussian,
     rational_coefficient_table,
     residue_matrix,
     shuffle_product,
@@ -278,7 +279,7 @@ class TestDiscoverRelations:
     def test_depth3_kernel_is_canonicalized(self, counterexample_multiplier, poles01):
         # the depth-3 kernel is multi-dimensional; echelon canonicalization
         # must produce monic rational vectors, not rotated SVD noise
-        rels = discover_relations(counterexample_multiplier, -1, 3, sample_count=30)
+        rels = discover_relations(counterexample_multiplier, -1, 3)
         assert len(rels) == 5
         depth2 = expected_counterexample_relation(poles01, Fraction(-1))
         assert any(r.poly == depth2 and r.status is RelationStatus.EXACT for r in rels)
@@ -301,28 +302,31 @@ class TestDiscoverRelations:
             raise AssertionError("a free family must not be sampled")
 
         monkeypatch.setattr(cert, "eval_coeffs", no_table)
-        words = 2 ** (N + 1) - 1
-        assert discover_relations(polylog_multiplier, -1, N, sample_count=words) == []
+        assert discover_relations(polylog_multiplier, -1, N) == []
 
-    def test_depth4_counterexample(self, counterexample_multiplier, poles01):
-        rels = discover_relations(counterexample_multiplier, -1, 4, sample_count=31)
+    @pytest.mark.parametrize(
+        "z0, seed",
+        [("-1", 0), ("-3", 0), ("-1+i", 0), ("-1/2", 0), ("3/2", 0), ("-1/2", 3)],
+        ids=["-1", "-3", "-1+i", "-half", "three-halves", "-half-seed3"],
+    )
+    def test_depth4_counterexample(self, counterexample_multiplier, poles01, z0, seed):
+        # the relations have Gaussian-rational coefficients (27/128 at -3,
+        # 26/375*i at -1+i), so their count depends on neither z0 nor the seed
+        z0 = parse_gaussian(z0)
+        rels = discover_relations(counterexample_multiplier, z0, 4, seed=seed)
         statuses = [r.status for r in rels]
         assert len(rels) == 16
         assert statuses.count(RelationStatus.EXACT) == 5
         assert statuses.count(RelationStatus.NUMERIC) == 11
-        depth2 = expected_counterexample_relation(poles01, Fraction(-1))
+        depth2 = expected_counterexample_relation(poles01, z0)
         assert any(r.poly == depth2 and r.status is RelationStatus.EXACT for r in rels)
         assert len({max(r.poly.terms) for r in rels}) == 16
         for r in rels:
             assert r.poly.coeff(max(r.poly.terms)) == PLR.one(poles01)
             assert r.defect < 1e-9
             for c in r.poly.terms.values():
-                assert all(q.re.denominator <= 64 and q.im.denominator <= 64
-                           for q in c.poly)
+                assert all(q.re.denominator <= cert.SNAP_DENOMINATOR
+                           and q.im.denominator <= cert.SNAP_DENOMINATOR for q in c.poly)
 
     def test_truncation_zero(self, counterexample_multiplier):
         assert discover_relations(counterexample_multiplier, -1, 0) == []
-
-    def test_sample_count_guard(self, counterexample_multiplier):
-        with pytest.raises(ValueError):
-            discover_relations(counterexample_multiplier, -1, 2, sample_count=3)

@@ -1,8 +1,10 @@
+import hashlib
 import math
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -327,6 +329,29 @@ class TestRelations:
         assert code == 0
         assert out == "no relations found\n"
 
+    def test_depth4_large_denominator(self, capsys):
+        # 27/128 lies past the old snapping denominator of 64; its relation
+        # was once approximated, failed the exact check and was dropped
+        code, out, _ = run(
+            capsys, "relations", "--config", COUNTER, "--N", "4", "--z0", "-3", "--seed", "3"
+        )
+        assert code == 0
+        assert "27/128*x0" in out
+        assert len(out.splitlines()) == 16
+
+    def test_relations_outputs_pinned(self, capsys):
+        """Relations at depths 2 and 3 have small denominators, so a change of
+        the snapping rule must leave the exit code and stdout of every seeded
+        run at these basepoints unchanged."""
+        digest = hashlib.sha256()
+        for N in ("2", "3"):
+            for z0 in ("-1", "2", "i", "-3", "1/2", "1+i", "-1/2", "-1+i"):
+                code, out, _ = run(
+                    capsys, "relations", "--config", COUNTER, "--N", N, f"--z0={z0}", "--seed", "3"
+                )
+                digest.update(f"{code}\n{out}\n".encode())
+        assert digest.hexdigest() == "7b73a76c71759b7592b8c4e1d5b4829a1b6e23fda7756da21e96d077910399fb"
+
     def test_byte_identical_reruns(self, capsys):
         # covers the numeric table of eval as well as the relation search
         for argv in (
@@ -367,7 +392,7 @@ class TestParsing:
         def fields(cfg):
             return (
                 cfg.alphabet, cfg.pole_set, cfg.multiplier.terms, cfg.basepoint, cfg.truncation,
-                cfg.tol, cfg.margin, cfg.seed, cfg.samples, cfg.relation_tol,
+                cfg.tol, cfg.margin, cfg.seed,
             )
 
         path = ROOT / "configs" / name
@@ -427,11 +452,16 @@ class TestParsing:
             (POLYLOG, 'poles: ["0", "1"]', 'poles: ["0", "1/0"]'),
             (POLYLOG, 'basepoint: "-1"', 'basepoint: "1/0"'),
             (POLYLOG, "truncation: 4", "truncation: .inf"),
+            (POLYLOG, "truncation: 4", "truncation: 2.7"),
+            (POLYLOG, "truncation: 4", "truncation: true"),
+            (POLYLOG, "seed: 0", "seed: 0.5"),
+            (POLYLOG, "seed: 0", "seed: false"),
         ],
         ids=[
             "letters-not-mappings", "poles-not-list", "poles-junk", "pole-junk", "weight-junk",
             "u-zero-denominator", "weight-zero-denominator", "pole-zero-denominator",
-            "basepoint-zero-denominator", "truncation-infinite",
+            "basepoint-zero-denominator", "truncation-infinite", "truncation-float",
+            "truncation-boolean", "seed-float", "seed-boolean",
         ],
     )
     def test_malformed_config_field(self, capsys, tmp_path, config, old, new):
@@ -443,6 +473,26 @@ class TestParsing:
         code, out, err = run(capsys, "certify", "--config", str(bad))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "weight, z0",
+        [("1e9999999", "-1"), ("-1", "1e9999999,0"), ("-1", "0,1e-9999999")],
+        ids=["weight", "z0", "z0-negative-exponent"],
+    )
+    def test_huge_decimal_exponent(self, capsys, tmp_path, weight, z0):
+        # Fraction would expand the exponent in full: 1e999999 took 42 s
+        config = tmp_path / "big.yaml"
+        config.write_text(Path(POLYLOG).read_text().replace('weight: "-1"', f'weight: "{weight}"'))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "certify", "--config", str(config), f"--z0={z0}")
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_decimal_exponent_at_the_limit(self, capsys, tmp_path):
+        config = tmp_path / "big.yaml"
+        config.write_text(Path(POLYLOG).read_text().replace('weight: "-1"', 'weight: "1e4300"'))
+        assert run(capsys, "certify", "--config", str(config)) == (0, "INDEPENDENT\n", "")
 
     def test_bad_z_format(self, capsys):
         code, _, _ = run(capsys, "eval", "--config", POLYLOG, "--z", "nope")
