@@ -31,7 +31,6 @@ from .ratfun import (
     PoleSet,
     format_gaussian,
     format_plr_pretty,
-    parse_fraction,
     parse_gaussian,
     parse_plr,
 )
@@ -167,11 +166,11 @@ def _parse_exact_point(text: str) -> GaussianRational:
     rational text such as `-1` or `1/2+3/4*i`."""
     try:
         if "," in text:
-            re_txt, im_txt = text.split(",")
-            return GaussianRational(parse_fraction(re_txt), parse_fraction(im_txt))
+            re_txt, im_txt = text.split(",", 1)
+            return GaussianRational(re_txt, im_txt)
         return parse_gaussian(text)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"cannot parse exact point {text!r}") from None
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse exact point {text!r}: {exc}") from None
 
 
 _NAME_SUFFIX = re.compile(r"^(.*?)(\d*)$")

@@ -4,6 +4,12 @@ Elements are kept in a closed normal form: a polynomial part in z plus
 principal parts (z - a_i)^(-k) at the configured poles.  In this form
 residues are direct reads and primitives are term-by-term, so the whole
 "is g a derivative?" question reduces to checking simple-pole residues.
+
+Scalars are stored as :class:`GaussianRational` with reduced Fraction
+parts.  A product runs on integer triples (x, y, d), read as (x + y*i)/d,
+and builds each output coefficient's Fraction parts once, so text forms,
+``==`` and hashing do not depend on the route.  Exact evaluation stays on
+Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -40,14 +46,15 @@ class GaussianRational:
     Immutable; ``re`` and ``im`` are reduced Fractions.  Arithmetic builds
     its results with :func:`_gr` from parts that Fraction arithmetic has
     already reduced, and takes ``int``/``Fraction`` operands as real
-    scalars without wrapping them.
+    scalars without wrapping them.  A part given as text is read by
+    :func:`parse_fraction`.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=Fraction(0), im=Fraction(0)):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", parse_fraction(re) if isinstance(re, str) else Fraction(re))
+        object.__setattr__(self, "im", parse_fraction(im) if isinstance(im, str) else Fraction(im))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -60,10 +67,14 @@ class GaussianRational:
 
     @staticmethod
     def of(x) -> "GaussianRational":
+        """``x`` itself, a real ``int``/``Fraction``, or the value of the text
+        form ``x`` (:func:`parse_gaussian`)."""
         if isinstance(x, GaussianRational):
             return x
-        if isinstance(x, (int, Fraction, str)):
-            return GaussianRational(Fraction(x))
+        if isinstance(x, str):
+            return parse_gaussian(x)
+        if isinstance(x, (int, Fraction)):
+            return GaussianRational(x)
         raise TypeError(f"cannot coerce {x!r} to a Gaussian rational")
 
     @property
@@ -197,7 +208,8 @@ def format_gaussian(q: GaussianRational) -> str:
     return f"{q.re}{sign}{tail}"
 
 
-_TERM_RE = re.compile(r"[+-]?[^+-]+")
+# a sign after an exponent's e belongs to the exponent, not to a new term
+_TERM_RE = re.compile(r"[+-]?(?:[eE][+-]?|[^-+eE])+")
 # Fraction expands a decimal exponent in full, so its magnitude is held to the
 # limit Python puts on the digits of an int string
 MAX_DECIMAL_EXPONENT = sys.int_info.default_max_str_digits
@@ -205,12 +217,15 @@ _EXPONENT_RE = re.compile(r"[eE][+-]?0*(\d+)")
 
 
 def parse_fraction(text: str) -> Fraction:
-    """``Fraction(text)``; ValueError for a decimal exponent whose magnitude
-    exceeds MAX_DECIMAL_EXPONENT."""
+    """``Fraction(text)``; ValueError for a zero denominator or a decimal
+    exponent whose magnitude exceeds MAX_DECIMAL_EXPONENT."""
     m = _EXPONENT_RE.search(text)
     if m and (len(m[1]) > len(str(MAX_DECIMAL_EXPONENT)) or int(m[1]) > MAX_DECIMAL_EXPONENT):
         raise ValueError(f"decimal exponent of {text!r} exceeds {MAX_DECIMAL_EXPONENT}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def parse_gaussian(text: str) -> GaussianRational:
@@ -223,20 +238,17 @@ def parse_gaussian(text: str) -> GaussianRational:
         raise ValueError(f"cannot parse Gaussian rational {text!r}")
     re_part = Fraction(0)
     im_part = Fraction(0)
-    try:
-        for term in terms:
-            if term.endswith("i"):
-                body = term[:-1].rstrip("*")
-                if body in ("", "+"):
-                    im_part += 1
-                elif body == "-":
-                    im_part -= 1
-                else:
-                    im_part += parse_fraction(body)
+    for term in terms:
+        if term.endswith("i"):
+            body = term[:-1].rstrip("*")
+            if body in ("", "+"):
+                im_part += 1
+            elif body == "-":
+                im_part -= 1
             else:
-                re_part += parse_fraction(term)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in Gaussian rational {text!r}") from None
+                im_part += parse_fraction(body)
+        else:
+            re_part += parse_fraction(term)
     return GaussianRational(re_part, im_part)
 
 
@@ -246,8 +258,7 @@ class PoleSet:
     __slots__ = ("points", "approx")
 
     def __init__(self, points):
-        pts = tuple(GaussianRational.of(parse_gaussian(p) if isinstance(p, str) else p)
-                    for p in points)
+        pts = tuple(GaussianRational.of(p) for p in points)
         if len(set(pts)) != len(pts):
             raise ValueError("pole locations must be pairwise distinct")
         self.points = pts
@@ -377,7 +388,7 @@ class PoleLocalizedRational:
         poly = [x + y for x, y in zip(a, b)] + list(b[len(a):])
         pp = dict(self.principal)
         for ik, c in other.principal.items():
-            _acc(pp, ik, c)
+            pp[ik] = pp[ik] + c if ik in pp else c
         return PoleLocalizedRational(self.pole_set, poly, pp)
 
     __radd__ = __add__
@@ -484,70 +495,128 @@ class PoleLocalizedRational:
 
 
 # ----- product in normal form ------------------------------------------------
+#
+# The product runs on integer triples (x, y, d), read as (x + y*i)/d with
+# d > 0: each scalar is converted once per call, every accumulated term is
+# reduced by gcd(x, y, d), and each output coefficient's reduced Fraction
+# parts are built once, at the end (Knuth, TAOCP vol. 2, 4.5.1).
+
+
+def _triple(g: GaussianRational):
+    re, im = g.re, g.im
+    b, e = re.denominator, im.denominator
+    if b == e:
+        return re.numerator, im.numerator, b
+    d = math.lcm(b, e)
+    return re.numerator * (d // b), im.numerator * (d // e), d
+
+
+def _gaussian(t) -> GaussianRational:
+    x, y, d = t
+    return _gr(Fraction(x, d), Fraction(y, d))
+
+
+def _reduced(x, y, d):
+    g = math.gcd(x, y, d)
+    return (x, y, d) if g == 1 else (x // g, y // g, d // g)
+
+
+def _tmul(p, q):
+    a, b, d = p
+    c, e, f = q
+    return a * c - b * e, a * e + b * c, d * f
+
+
+def _tadd(p, q):
+    a, b, d = p
+    c, e, f = q
+    if d == f:
+        x, y = a + c, b + e
+    else:
+        x, y, d = a * f + c * d, b * f + e * d, d * f
+    g = math.gcd(x, y, d)
+    return (x, y, d) if g == 1 else (x // g, y // g, d // g)
+
+
+def _tinv(p):
+    x, y, d = p
+    return _reduced(d * x, -d * y, x * x + y * y)
+
+
+def _acc(target, key, t):
+    """target[key] += t, reduced; a new key goes in at the end, so keys keep
+    the order of their first term."""
+    target[key] = _tadd(target[key], t) if key in target else _reduced(*t)
 
 
 def _divide_linear(coeffs, a):
     """p(z) = (z - a) q(z) + r for nonempty p; returns (q coefficients, r)."""
-    q = [GR_ZERO] * (len(coeffs) - 1)
+    q = [None] * (len(coeffs) - 1)
     acc = coeffs[-1]
     for m in range(len(coeffs) - 2, -1, -1):
         q[m] = acc
-        acc = coeffs[m] + a * acc
+        acc = _tadd(coeffs[m], _tmul(a, acc))
     return q, acc
-
-
-def _acc(target, key, c):
-    target[key] = target[key] + c if key in target else c
 
 
 def _multiply(f: PoleLocalizedRational, g: PoleLocalizedRational) -> PoleLocalizedRational:
     ps = f.pole_set
+    poles = [_triple(a) for a in ps]
+    f_poly = [_triple(c) for c in f.poly]
+    g_poly = [_triple(c) for c in g.poly]
+    f_pp = [(ik, _triple(c)) for ik, c in f.principal.items()]
+    g_pp = [(ik, _triple(c)) for ik, c in g.principal.items()]
     poly = {}
     pp = {}
 
-    for m, a in enumerate(f.poly):
-        for n, b in enumerate(g.poly):
-            _acc(poly, m + n, a * b)
+    for m, a in enumerate(f_poly):
+        for n, b in enumerate(g_poly):
+            _acc(poly, m + n, _tmul(a, b))
 
     # p(z) c/(z-a)^k: the remainders of k divisions by (z - a) are the
     # coefficients of (z-a)^(-k), ..., (z-a)^(-1); the quotient is polynomial
-    for p_coeffs, other in ((f.poly, g), (g.poly, f)):
-        for (i, k), c in other.principal.items():
+    for p_coeffs, other in ((f_poly, g_pp), (g_poly, f_pp)):
+        for (i, k), c in other:
             q = p_coeffs
             for m in range(min(k, len(q))):  # each division shortens q by one
-                q, r = _divide_linear(q, ps[i])
-                if r:
-                    _acc(pp, (i, k - m), c * r)
+                q, r = _divide_linear(q, poles[i])
+                if r[0] or r[1]:
+                    _acc(pp, (i, k - m), _tmul(c, r))
             for m, b in enumerate(q):
-                _acc(poly, m, c * b)
+                _acc(poly, m, _tmul(c, b))
 
     # c/(z-a)^j * d/(z-b)^k: the part at a takes the Taylor coefficients of
     # (z-b)^(-k) about a, C(k+n-1, n) (-1)^n inv^(k+n) with inv = 1/(a-b);
     # powers[(a, b)] holds inv^0, inv^1, ... for this call
     powers = {}
-    for (i, j), c in f.principal.items():
-        for (l, k), d in g.principal.items():
-            v = c * d
+    for (i, j), c in f_pp:
+        for (l, k), d in g_pp:
+            v = _reduced(*_tmul(c, d))
             if i == l:
                 _acc(pp, (i, j + k), v)
                 continue
             for s, js, t, kt in ((i, j, l, k), (l, k, i, j)):
                 pw = powers.get((s, t))
                 if pw is None:
-                    pw = powers[(s, t)] = [GR_ONE, GR_ONE / (ps[s] - ps[t])]
+                    x, y, e = poles[t]
+                    pw = powers[(s, t)] = [(1, 0, 1), _tinv(_tadd(poles[s], (-x, -y, e)))]
                 while len(pw) < kt + js:
-                    pw.append(pw[-1] * pw[1])
+                    pw.append(_reduced(*_tmul(pw[-1], pw[1])))
                 # keys go in as p = 1, ..., js: evaluate sums pp in insertion order
                 for p in range(1, js + 1):
                     n = js - p
-                    y = v * pw[kt + n]
+                    x, y, e = _tmul(v, pw[kt + n])
                     if n:
-                        m = math.comb(kt + n - 1, n)
-                        y = y * (-m if n & 1 else m)
-                    _acc(pp, (s, p), y)
+                        m = (-1) ** n * math.comb(kt + n - 1, n)
+                        x, y = x * m, y * m
+                    _acc(pp, (s, p), (x, y, e))
 
     # the keys of poly are always 0, ..., len(poly) - 1
-    return PoleLocalizedRational(ps, [poly[m] for m in range(len(poly))], pp)
+    return PoleLocalizedRational(
+        ps,
+        [_gaussian(poly[m]) for m in range(len(poly))],
+        {ik: _gaussian(t) for ik, t in pp.items()},
+    )
 
 
 # ----- text forms -------------------------------------------------------------

@@ -188,6 +188,8 @@ class TestRationalCoefficientTable:
         with pytest.raises(ValueError):
             rational_coefficient_table(counterexample_multiplier, 0, 1)
 
+    MIXED_Z0 = GaussianRational(-1, Fraction(1, 2))
+
     @staticmethod
     def mixed_multiplier():
         """Polynomial parts of degree 0-2 and principal orders 1-3 at three
@@ -218,14 +220,26 @@ class TestRationalCoefficientTable:
         """The exact text of every depth-4 entry and the blocked set, hashed;
         a rewrite of the product or of the scalars must leave it unchanged."""
         if case == "mixed":
-            M, z0 = self.mixed_multiplier(), GaussianRational(-1, Fraction(1, 2))
+            M, z0 = self.mixed_multiplier(), self.MIXED_Z0
         else:
             M, z0 = counterexample_multiplier, GaussianRational(-1)
-        tab = rational_coefficient_table(M, z0, 4)
+        assert self.text_form_digest(rational_coefficient_table(M, z0, 4), M) == digest
+
+    def test_depth6_text_forms_pinned(self):
+        """The mixed multiplier to depth 6: products of principal orders up
+        to 18 at three poles, one non-real."""
+        M = self.mixed_multiplier()
+        tab = rational_coefficient_table(M, self.MIXED_Z0, 6)
+        assert (len(tab.entries), len(tab.blocked)) == (127, 126)
+        assert self.text_form_digest(tab, M) == (
+            "d3d48942fa00bc38bf3e29455c0fdf003f165823bc84c1db2a1bff423fffccf4")
+
+    @staticmethod
+    def text_form_digest(tab, M):
         fmt = M.alphabet.format_word
         lines = sorted(f"{fmt(w)}\t{format_plr(F)}" for w, F in tab.entries.items())
         lines += sorted(f"blocked\t{fmt(w)}" for w in tab.blocked)
-        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 class TestVerifyRelation:

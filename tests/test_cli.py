@@ -489,6 +489,18 @@ class TestParsing:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "z0, reason",
+        [("1e9999999,0", "decimal exponent of '1e9999999' exceeds 4300"),
+         ("1/0,0", "zero denominator in '1/0'"),
+         ("1,2,3", "Invalid literal for Fraction: '2,3'")],
+        ids=["huge-exponent", "zero-denominator", "three-parts"],
+    )
+    def test_exact_point_error_says_why(self, capsys, z0, reason):
+        code, out, err = run(capsys, "certify", "--config", POLYLOG, f"--z0={z0}")
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot parse exact point {z0!r}: {reason}\n"
+
     def test_decimal_exponent_at_the_limit(self, capsys, tmp_path):
         config = tmp_path / "big.yaml"
         config.write_text(Path(POLYLOG).read_text().replace('weight: "-1"', 'weight: "1e4300"'))

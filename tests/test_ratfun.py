@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,40 @@ def plr_triples(draw):
     return draw(element), draw(element), draw(element)
 
 
+# Non-real poles whose parts have different denominators: a power of 2 for
+# the real part and 3 or 9 for the imaginary part
+non_real_poles = st.builds(
+    GaussianRational,
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 4])),
+    st.builds(Fraction, st.integers(-8, 8).filter(lambda n: n % 3), st.sampled_from([3, 9])),
+)
+
+
+@st.composite
+def kernel_operands(draw):
+    """A pole set of 1-3 non-real points and three elements over it with
+    polynomial degree <= 3 and principal orders <= 4."""
+    ps = PoleSet(draw(st.lists(non_real_poles, min_size=1, max_size=3, unique=True)))
+    keys = st.tuples(st.integers(0, len(ps) - 1), st.integers(1, 4))
+    element = st.builds(
+        lambda poly, pp: PLR(ps, poly, pp),
+        st.lists(gaussians, max_size=4),
+        st.dictionaries(keys, gaussians, max_size=4 * len(ps)),
+    )
+    return ps, draw(element), draw(element), draw(element)
+
+
+def assert_normal_form(f):
+    """Reduced Fraction parts with positive denominators, and no stored zero."""
+    assert not f.poly or f.poly[-1]
+    assert all(f.principal.values())
+    for c in (*f.poly, *f.principal.values()):
+        assert type(c) is GaussianRational
+        for part in (c.re, c.im):
+            assert type(part) is Fraction
+            assert part.denominator > 0 and math.gcd(part.numerator, part.denominator) == 1
+
+
 @pytest.fixture()
 def ps():
     return PoleSet(["0", "1"])
@@ -73,6 +108,27 @@ class TestGaussianRational:
         for bad in ["", "1//2", "x", "1+2j", "1/0", "0/0", "1+2/0*i", "-3/0*i"]:
             with pytest.raises(ValueError):
                 parse_gaussian(bad)
+
+    @given(gaussians)
+    def test_of_reads_the_text_form(self, q):
+        assert GaussianRational.of(format_gaussian(q)) == q
+
+    def test_of_and_parts_read_text(self):
+        assert GaussianRational.of("i") == GaussianRational(0, 1)
+        assert GaussianRational.of("1+i") == GaussianRational(1, 1)
+        assert GaussianRational.of("-1.5e-2+2e-1*i") == GaussianRational(Fraction(-3, 200), Fraction(1, 5))
+        assert GaussianRational("1/2", "3e-1") == GaussianRational(Fraction(1, 2), Fraction(3, 10))
+        for bad in ("1+2j", "1e", "1/0"):
+            with pytest.raises(ValueError):
+                GaussianRational.of(bad)
+
+    def test_of_rejects_a_huge_exponent_at_once(self):
+        # Fraction would expand the exponent in full
+        for make in (GaussianRational.of, GaussianRational, lambda t: GaussianRational(0, t)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="exceeds"):
+                make("1e9999999")
+            assert time.perf_counter() - start < 1.0
 
     def test_random_round_trip(self):
         rng = random.Random(3)
@@ -209,6 +265,28 @@ class TestMul:
                 if any(z == a for a in ps):
                     continue
                 assert prod.evaluate_exact(z) == f.evaluate_exact(z) * g.evaluate_exact(z)
+
+    @given(kernel_operands(), st.lists(gaussians, min_size=1, max_size=3))
+    def test_kernel_products_are_exact(self, operands, points):
+        ps, f, g, h = operands
+        fg = f * g
+        assert_normal_form(fg)
+        assert f * (g + h) == fg + f * h
+        for z in points:
+            if z not in ps.points:
+                assert fg.evaluate_exact(z) == f.evaluate_exact(z) * g.evaluate_exact(z)
+
+    @given(kernel_operands(), st.data())
+    def test_kernel_drops_cancelled_terms(self, operands, data):
+        # f/(z-a) * (z-a) == f: terms at a and in the polynomial part cancel
+        ps, f, _, _ = operands
+        i = data.draw(st.integers(0, len(ps) - 1))
+        linear = PLR.from_poly(ps, [-ps[i], 1])
+        over = f * PLR.simple_pole(ps, i)
+        assert_normal_form(over)
+        back = over * linear
+        assert_normal_form(back)
+        assert back == f
 
     def test_assoc_comm(self):
         rng = random.Random(7)
