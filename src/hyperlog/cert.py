@@ -248,9 +248,7 @@ def verify_relation(
         if value.is_zero and const_ok:
             return Relation(Q, RelationStatus.EXACT)
         return Relation(Q, RelationStatus.INCONCLUSIVE)
-    defect = numeric_relation_defect(
-        Q, M, z0, sample_count=FRESH_SAMPLES, seed=seed, eval_tol=eval_tol, margin=margin
-    )
+    defect = numeric_relation_defect(Q, M, z0, seed=seed, eval_tol=eval_tol, margin=margin)
     if defect <= NUMERIC_TOL:
         return Relation(Q, RelationStatus.NUMERIC, defect)
     return Relation(Q, RelationStatus.INCONCLUSIVE, defect)
@@ -328,15 +326,14 @@ def numeric_relation_defect(
     M: Multiplier,
     z0,
     *,
-    sample_count: int = 8,
     seed: int = 1,
     eval_tol: float = 1e-12,
     margin: float = 0.05,
 ) -> float:
-    """max over sample endpoints of |sum_w <Q|w>(z) <S|w>(z)|."""
+    """max over FRESH_SAMPLES sample endpoints of |sum_w <Q|w>(z) <S|w>(z)|."""
     deg = 0 if Q.is_zero else Q.degree()
     worst = 0.0
-    for zc, T in _endpoint_tables(M, z0, deg, sample_count, seed, eval_tol, margin):
+    for zc, T in _endpoint_tables(M, z0, deg, FRESH_SAMPLES, seed, eval_tol, margin):
         total = 0j
         for w, c in Q.terms.items():
             total += c.evaluate(zc) * T[w]
@@ -439,7 +436,7 @@ def discover_relations(
         if rel.status is RelationStatus.INCONCLUSIVE:
             continue
         if rel.defect is None:
-            rel.defect = numeric_relation_defect(Q, M, z0, sample_count=FRESH_SAMPLES, **fresh)
+            rel.defect = numeric_relation_defect(Q, M, z0, **fresh)
         relations.append(rel)
     relations.sort(key=lambda rel: sorted(rel.poly.terms))
     return relations

@@ -56,6 +56,18 @@ def _integer_field(data: dict, name: str, default: int) -> int:
     return value
 
 
+def _float_field(data: dict, name: str, default: float) -> float:
+    """A YAML number, or a string such as `1e-12` that PyYAML does not read as
+    one; a boolean or anything else is a ConfigError."""
+    value = data.get(name, default)
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
 class ProblemConfig:
     """Multiplier plus evaluation defaults parsed from a YAML config.
 
@@ -111,17 +123,16 @@ class ProblemConfig:
         self.basepoint = parse_gaussian(str(data.get("basepoint", "-1")))
         self.truncation = _integer_field(data, "truncation", 3)
         self.seed = _integer_field(data, "seed", 0)
-        try:
-            self.tol = float(data.get("tol", 1e-12))
-            self.margin = float(data.get("margin", 0.05))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad scalar field: {exc}") from None
+        self.tol = _float_field(data, "tol", 1e-12)
+        self.margin = _float_field(data, "margin", 0.05)
         self.validate()
 
     def validate(self) -> None:
         """Check the evaluation settings; rerun after command-line overrides."""
         if self.truncation < 0:
             raise ConfigError("truncation must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         for name in ("tol", "margin"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -149,16 +160,6 @@ def load_config(path: str) -> ProblemConfig:
         return ProblemConfig(data or {})
     except ValueError as exc:  # from the parsers, Alphabet or PoleSet
         raise ConfigError(str(exc)) from None
-
-
-def _parse_complex(text: str) -> complex:
-    try:
-        parts = [float(p) for p in text.split(",")]
-    except ValueError:
-        parts = []
-    if len(parts) in (1, 2) and all(math.isfinite(p) for p in parts):
-        return complex(*parts)
-    raise ConfigError(f"cannot parse complex number {text!r} (want finite RE or RE,IM)")
 
 
 def _parse_exact_point(text: str) -> GaussianRational:
@@ -217,7 +218,7 @@ def _write(out_path, data: bytes):
 def _common_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="YAML problem configuration")
-    common.add_argument("--z", help="endpoint RE or RE,IM")
+    common.add_argument("--z", help="endpoint, read as --z0 is, in floating-point range")
     common.add_argument("--z0", help="basepoint override, exact Gaussian rational")
     common.add_argument("--N", type=int, help="truncation override")
     common.add_argument("--tol", type=float, help="evaluation tolerance override")
@@ -329,7 +330,10 @@ def _table_for_endpoint(cfg: ProblemConfig, z_text: str, N: int, word_bytes: int
     _require_memory(cfg, word_bytes * _word_count(cfg))
     if z_text is None:
         raise ConfigError("this command needs --z RE,IM")
-    zc = _parse_complex(z_text)
+    try:
+        zc = complex(_parse_exact_point(z_text))
+    except (ConfigError, OverflowError) as exc:
+        raise ConfigError(f"--z must be a finite point in floating-point range: {exc}") from None
     path = build_path(complex(cfg.basepoint), zc, cfg.pole_set.approx, cfg.margin)
     return eval_coeffs(cfg.multiplier, path, N, cfg.tol)
 

@@ -6,10 +6,9 @@ residues are direct reads and primitives are term-by-term, so the whole
 "is g a derivative?" question reduces to checking simple-pole residues.
 
 Scalars are stored as :class:`GaussianRational` with reduced Fraction
-parts.  A product runs on integer triples (x, y, d), read as (x + y*i)/d,
-and builds each output coefficient's Fraction parts once, so text forms,
-``==`` and hashing do not depend on the route.  Exact evaluation stays on
-Fraction arithmetic.
+parts.  All Gaussian-rational arithmetic runs on integer triples
+(x, y, d), read as (x + y*i)/d, and builds each result's Fraction parts
+once, so text forms, ``==`` and hashing do not depend on the route.
 """
 
 from __future__ import annotations
@@ -40,13 +39,99 @@ class ResidueObstruction(ArithmeticError):
         )
 
 
+# ----- arithmetic on integer triples -----------------------------------------
+#
+# A triple (x, y, d) is read as (x + y*i)/d with d > 0.  An operator converts
+# each operand once and builds its result's reduced Fraction parts with
+# _gaussian; a product of pole-localized rationals converts every scalar once
+# per call, reduces each accumulated term by gcd(x, y, d), and builds each
+# output coefficient once, at the end (Knuth, TAOCP vol. 2, 4.5.1).
+
+
+def _triple(g: "GaussianRational"):
+    re, im = g.re, g.im
+    b, e = re.denominator, im.denominator
+    if b == e:
+        return re.numerator, im.numerator, b
+    d = math.lcm(b, e)
+    return re.numerator * (d // b), im.numerator * (d // e), d
+
+
+def _operand(x):
+    """The triple of a GaussianRational, or of an int, bool or Fraction as a
+    real scalar; None for any other type."""
+    if isinstance(x, GaussianRational):
+        return _triple(x)
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, 0, x.denominator
+    return None
+
+
+def _gaussian(t) -> "GaussianRational":
+    x, y, d = t
+    return _gr(Fraction(x, d), Fraction(y, d))
+
+
+def _reduced(x, y, d):
+    g = math.gcd(x, y, d)
+    return (x, y, d) if g == 1 else (x // g, y // g, d // g)
+
+
+def _tmul(p, q):
+    a, b, d = p
+    c, e, f = q
+    return a * c - b * e, a * e + b * c, d * f
+
+
+def _tadd(p, q):
+    a, b, d = p
+    c, e, f = q
+    if d == f:
+        x, y = a + c, b + e
+    else:
+        x, y, d = a * f + c * d, b * f + e * d, d * f
+    g = math.gcd(x, y, d)
+    return (x, y, d) if g == 1 else (x // g, y // g, d // g)
+
+
+def _tsub(p, q):
+    c, e, f = q
+    return _tadd(p, (-c, -e, f))
+
+
+def _tinv(p):
+    x, y, d = p
+    if not (x or y):
+        raise ZeroDivisionError("division by zero Gaussian rational")
+    return _reduced(d * x, -d * y, x * x + y * y)
+
+
+def _tdiv(p, q):
+    return _tmul(p, _tinv(q))
+
+
+def _operators(kernel):
+    """The forward and reflected operator methods that run ``kernel`` on
+    the operands' triples."""
+
+    def forward(self, other):
+        q = _operand(other)
+        return NotImplemented if q is None else _gaussian(kernel(_triple(self), q))
+
+    def reflected(self, other):
+        q = _operand(other)
+        return NotImplemented if q is None else _gaussian(kernel(q, _triple(self)))
+
+    return forward, reflected
+
+
 class GaussianRational:
     """Exact complex number with rational real and imaginary parts.
 
-    Immutable; ``re`` and ``im`` are reduced Fractions.  Arithmetic builds
-    its results with :func:`_gr` from parts that Fraction arithmetic has
-    already reduced, and takes ``int``/``Fraction`` operands as real
-    scalars without wrapping them.  A part given as text is read by
+    Immutable; ``re`` and ``im`` are reduced Fractions.  Every arithmetic
+    operator runs on the operands' integer triples, with ``int``, ``bool``
+    and ``Fraction`` operands as real scalars, and builds its result with
+    :func:`_gaussian`.  A part given as text is read by
     :func:`parse_fraction`.
     """
 
@@ -97,66 +182,21 @@ class GaussianRational:
     def __neg__(self):
         return _gr(-self.re, -self.im)
 
-    def __add__(self, other):
-        if isinstance(other, GaussianRational):
-            return _gr(self.re + other.re, self.im + other.im)
-        if isinstance(other, (int, Fraction)):
-            return _gr(self.re + other, self.im)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, GaussianRational):
-            return _gr(self.re - other.re, self.im - other.im)
-        if isinstance(other, (int, Fraction)):
-            return _gr(self.re - other, self.im)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _gr(other - self.re, -self.im)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, GaussianRational):
-            a, b, c, d = self.re, self.im, other.re, other.im
-            return _gr(a * c - b * d, a * d + b * c)
-        if isinstance(other, (int, Fraction)):
-            return _gr(self.re * other, self.im * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, GaussianRational):
-            a, b, c, d = self.re, self.im, other.re, other.im
-            n = c * c + d * d
-            if not n:
-                raise ZeroDivisionError("division by zero Gaussian rational")
-            return _gr((a * c + b * d) / n, (b * c - a * d) / n)
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError("division by zero Gaussian rational")
-            return _gr(self.re / other, self.im / other)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other) / self
-        return NotImplemented
+    __add__, __radd__ = _operators(_tadd)
+    __sub__, __rsub__ = _operators(_tsub)
+    __mul__, __rmul__ = _operators(_tmul)
+    __truediv__, __rtruediv__ = _operators(_tdiv)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        out = GR_ONE
-        base = self
+        out, base = (1, 0, 1), _triple(self)
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = _tmul(out, base)
+            base = _tmul(base, base)
             n >>= 1
-        return out
+        return _gaussian(out)
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
@@ -495,52 +535,6 @@ class PoleLocalizedRational:
 
 
 # ----- product in normal form ------------------------------------------------
-#
-# The product runs on integer triples (x, y, d), read as (x + y*i)/d with
-# d > 0: each scalar is converted once per call, every accumulated term is
-# reduced by gcd(x, y, d), and each output coefficient's reduced Fraction
-# parts are built once, at the end (Knuth, TAOCP vol. 2, 4.5.1).
-
-
-def _triple(g: GaussianRational):
-    re, im = g.re, g.im
-    b, e = re.denominator, im.denominator
-    if b == e:
-        return re.numerator, im.numerator, b
-    d = math.lcm(b, e)
-    return re.numerator * (d // b), im.numerator * (d // e), d
-
-
-def _gaussian(t) -> GaussianRational:
-    x, y, d = t
-    return _gr(Fraction(x, d), Fraction(y, d))
-
-
-def _reduced(x, y, d):
-    g = math.gcd(x, y, d)
-    return (x, y, d) if g == 1 else (x // g, y // g, d // g)
-
-
-def _tmul(p, q):
-    a, b, d = p
-    c, e, f = q
-    return a * c - b * e, a * e + b * c, d * f
-
-
-def _tadd(p, q):
-    a, b, d = p
-    c, e, f = q
-    if d == f:
-        x, y = a + c, b + e
-    else:
-        x, y, d = a * f + c * d, b * f + e * d, d * f
-    g = math.gcd(x, y, d)
-    return (x, y, d) if g == 1 else (x // g, y // g, d // g)
-
-
-def _tinv(p):
-    x, y, d = p
-    return _reduced(d * x, -d * y, x * x + y * y)
 
 
 def _acc(target, key, t):
@@ -598,8 +592,7 @@ def _multiply(f: PoleLocalizedRational, g: PoleLocalizedRational) -> PoleLocaliz
             for s, js, t, kt in ((i, j, l, k), (l, k, i, j)):
                 pw = powers.get((s, t))
                 if pw is None:
-                    x, y, e = poles[t]
-                    pw = powers[(s, t)] = [(1, 0, 1), _tinv(_tadd(poles[s], (-x, -y, e)))]
+                    pw = powers[(s, t)] = [(1, 0, 1), _tinv(_tsub(poles[s], poles[t]))]
                 while len(pw) < kt + js:
                     pw.append(_reduced(*_tmul(pw[-1], pw[1])))
                 # keys go in as p = 1, ..., js: evaluate sums pp in insertion order

@@ -237,7 +237,7 @@ def test_criterion_5_depth2_relation_and_limit(counterexample_multiplier, poles0
         assert rels[0].status is RelationStatus.EXACT
 
         # numeric defect at 8 fresh sample points
-        defect = numeric_relation_defect(rels[0].poly, M, -1, sample_count=8, seed=77)
+        defect = numeric_relation_defect(rels[0].poly, M, -1, seed=77)
         assert defect < 1e-9
 
         # the same formulas reproduce the discovered relation at another basepoint

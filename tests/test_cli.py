@@ -456,12 +456,16 @@ class TestParsing:
             (POLYLOG, "truncation: 4", "truncation: true"),
             (POLYLOG, "seed: 0", "seed: 0.5"),
             (POLYLOG, "seed: 0", "seed: false"),
+            (POLYLOG, "seed: 0", "seed: -5"),
+            (POLYLOG, "tol: 1.0e-12", "tol: true"),
+            (POLYLOG, "margin: 0.05", "margin: true"),
         ],
         ids=[
             "letters-not-mappings", "poles-not-list", "poles-junk", "pole-junk", "weight-junk",
             "u-zero-denominator", "weight-zero-denominator", "pole-zero-denominator",
             "basepoint-zero-denominator", "truncation-infinite", "truncation-float",
-            "truncation-boolean", "seed-float", "seed-boolean",
+            "truncation-boolean", "seed-float", "seed-boolean", "seed-negative",
+            "tol-boolean", "margin-boolean",
         ],
     )
     def test_malformed_config_field(self, capsys, tmp_path, config, old, new):
@@ -473,6 +477,22 @@ class TestParsing:
         code, out, err = run(capsys, "certify", "--config", str(bad))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("field", ["tol", "margin"])
+    def test_boolean_tol_and_margin(self, capsys, tmp_path, field):
+        # float(True) is 1.0: eval printed a table at tol 1 with exit 0
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(re.sub(rf"^{field}: .*$", f"{field}: true", Path(POLYLOG).read_text(), flags=re.M))
+        code, out, err = run(capsys, "eval", "--config", str(bad), "--z", "0.5")
+        assert (code, out, err) == (2, "", f"error: {field} must be a number, got True\n")
+
+    def test_tol_as_a_yaml_string(self, capsys, tmp_path):
+        # PyYAML reads 1e-12 (no dot) as a string
+        config = tmp_path / "string.yaml"
+        config.write_text(Path(POLYLOG).read_text().replace("tol: 1.0e-12", "tol: 1e-12"))
+        assert yaml.safe_load(config.read_text())["tol"] == "1e-12"
+        argv = ["eval", "--z", "0.5", "--N", "2"]
+        assert run(capsys, *argv, "--config", str(config)) == run(capsys, *argv, "--config", POLYLOG)
 
     @pytest.mark.parametrize(
         "weight, z0",
@@ -509,6 +529,22 @@ class TestParsing:
     def test_bad_z_format(self, capsys):
         code, _, _ = run(capsys, "eval", "--config", POLYLOG, "--z", "nope")
         assert code == 2
+
+    def test_z_reads_the_exact_point_grammar(self, capsys):
+        decimal = run(capsys, "eval", "--config", POLYLOG, "--z", "0.5,0.25")
+        assert decimal[0] == 0
+        assert run(capsys, "eval", "--config", POLYLOG, "--z", "1/2+1/4*i") == decimal
+
+    def test_overflowing_z(self, capsys):
+        code, out, err = run(capsys, "eval", "--config", POLYLOG, "--z=1e400,0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --z must be a finite point") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["certify", "relations"])
+    def test_negative_seed_flag(self, capsys, command):
+        # numpy's default_rng raised ValueError with a traceback and exit 1
+        argv = [command, "--config", COUNTER, "--seed", "-1"]
+        assert run(capsys, *argv) == (2, "", "error: seed must be >= 0\n")
 
     @pytest.mark.parametrize(
         "name",

@@ -1,4 +1,5 @@
 import math
+import operator
 import pickle
 import random
 import time
@@ -185,6 +186,69 @@ class TestGaussianContract:
         _ = [g / GR_ONE, GR_ONE / g, GR_ZERO / g]
         assert repr(GR_ZERO) == "GaussianRational(Fraction(0, 1), Fraction(0, 1))"
         assert repr(GR_ONE) == "GaussianRational(Fraction(1, 1), Fraction(0, 1))"
+
+
+def fraction_parts(x):
+    """(re, im) of a GaussianRational, or of an int, bool or Fraction."""
+    if isinstance(x, GaussianRational):
+        return x.re, x.im
+    return Fraction(x), Fraction(0)
+
+
+def fraction_formula(op, x, y):
+    """x op y written out on Fraction parts: the reference for the operators."""
+    (a, b), (c, d) = fraction_parts(x), fraction_parts(y)
+    if op is operator.add:
+        return a + c, b + d
+    if op is operator.sub:
+        return a - c, b - d
+    if op is operator.mul:
+        return a * c - b * d, a * d + b * c
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+class TestOneArithmetic:
+    """The triple arithmetic against the Fraction formulas."""
+
+    scalars = st.one_of(gaussians, st.integers(-30, 30), small_fractions, st.booleans())
+
+    @given(gaussians, scalars)
+    def test_operators_match_the_fraction_formulas(self, g, s):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for x, y in ((g, s), (s, g)):
+                if op is operator.truediv and fraction_parts(y) == (0, 0):
+                    with pytest.raises(ZeroDivisionError):
+                        op(x, y)
+                    continue
+                r = op(x, y)
+                assert type(r) is GaussianRational
+                assert (r.re, r.im) == fraction_formula(op, x, y)
+
+    @given(gaussians, st.integers(0, 7))
+    def test_power_matches_repeated_fraction_products(self, g, n):
+        expected = (Fraction(1), Fraction(0))
+        for _ in range(n):
+            expected = fraction_formula(operator.mul, GaussianRational(*expected), g)
+        r = g**n
+        assert (r.re, r.im) == expected
+
+    @given(scalars)
+    def test_division_by_zero(self, s):
+        for zero in (GR_ZERO, 0, Fraction(0), False):
+            with pytest.raises(ZeroDivisionError):
+                GaussianRational.of(s) / zero
+        with pytest.raises(ZeroDivisionError):
+            s / GR_ZERO
+
+    def test_other_operand_types(self):
+        g = GaussianRational(1, 2)
+        for other in (0.5, 1j, "1"):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                with pytest.raises(TypeError):
+                    op(g, other)
+                with pytest.raises(TypeError):
+                    op(other, g)
 
 
 class TestFieldLaws:
