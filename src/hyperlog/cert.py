@@ -193,6 +193,8 @@ def rational_coefficient_table(M: Multiplier, z0, N: int) -> RationalCoefficient
     d<S|x_i v> = u_i <S|v>: each entry is a rational closed form vanishing
     at z0; words whose step hits a residue obstruction are blocked and not
     extended."""
+    if type(N) is not int or N < 0:
+        raise ValueError(f"table depth must be an int >= 0, got {N!r}")
     z0 = GaussianRational.of(z0)
     if any(z0 == a for a in M.pole_set):
         raise ValueError("basepoint coincides with a pole")
@@ -210,9 +212,7 @@ def rational_coefficient_table(M: Multiplier, z0, N: int) -> RationalCoefficient
                 except ResidueObstruction:
                     blocked.add(w)
                     continue
-                poly = list(F.poly) or [GR_ZERO]
-                poly[0] = poly[0] - F.evaluate_exact(z0)
-                entries[w] = PoleLocalizedRational(M.pole_set, poly, F.principal)
+                entries[w] = F - F.evaluate_exact(z0)
                 new_frontier.append(w)
         frontier = new_frontier
     return RationalCoefficientTable(

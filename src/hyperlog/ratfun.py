@@ -8,7 +8,10 @@ residues are direct reads and primitives are term-by-term, so the whole
 Scalars are stored as :class:`GaussianRational` with reduced Fraction
 parts.  All Gaussian-rational arithmetic runs on integer triples
 (x, y, d), read as (x + y*i)/d, and builds each result's Fraction parts
-once, so text forms, ``==`` and hashing do not depend on the route.
+once, so text forms, ``==`` and hashing do not depend on the route.  A
+rational function carries one triple form of its coefficients, built on
+first use or set by the operation that made it; the product, the
+primitive, the exact value and the shift by a constant run on it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import re
 import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from types import MappingProxyType
 
 
 class PoleSetMismatchError(ValueError):
@@ -43,8 +47,9 @@ class ResidueObstruction(ArithmeticError):
 #
 # A triple (x, y, d) is read as (x + y*i)/d with d > 0.  An operator converts
 # each operand once and builds its result's reduced Fraction parts with
-# _gaussian; a product of pole-localized rationals converts every scalar once
-# per call, reduces each accumulated term by gcd(x, y, d), and builds each
+# _gaussian.  A pole-localized rational keeps its coefficients' triples, so
+# its product, primitive and exact value read them without converting; the
+# product reduces each accumulated term by gcd(x, y, d) and builds each
 # output coefficient once, at the end (Knuth, TAOCP vol. 2, 4.5.1).
 
 
@@ -295,13 +300,14 @@ def parse_gaussian(text: str) -> GaussianRational:
 class PoleSet:
     """Ordered, pairwise-distinct singularity locations a_1, ..., a_n."""
 
-    __slots__ = ("points", "approx")
+    __slots__ = ("points", "approx", "triples")
 
     def __init__(self, points):
         pts = tuple(GaussianRational.of(p) for p in points)
         if len(set(pts)) != len(pts):
             raise ValueError("pole locations must be pairwise distinct")
         self.points = pts
+        self.triples = tuple(_triple(p) for p in pts)
         try:
             self.approx = tuple(complex(p) for p in pts)
         except OverflowError:
@@ -332,9 +338,12 @@ class PoleLocalizedRational:
     ``poly[m]`` is the z^m coefficient of the polynomial part;
     ``principal[(i, k)]`` is the coefficient of (z - a_i)^(-k), k >= 1.
     Zero coefficients are never stored, so ``==`` is structural equality.
+
+    Immutable, with ``principal`` a read-only mapping, so the triple form
+    of the coefficients (:meth:`_triples`) cannot go stale.
     """
 
-    __slots__ = ("pole_set", "poly", "principal")
+    __slots__ = ("pole_set", "poly", "principal", "_t")
 
     def __init__(self, pole_set: PoleSet, poly=(), principal=None):
         coeffs = [GaussianRational.of(c) for c in poly]
@@ -342,6 +351,8 @@ class PoleLocalizedRational:
             coeffs.pop()
         pp = {}
         for (i, k), c in (principal or {}).items():
+            if type(i) is not int or type(k) is not int:
+                raise ValueError(f"principal key {(i, k)!r} must be a pair of ints")
             c = GaussianRational.of(c)
             if c.is_zero:
                 continue
@@ -350,9 +361,29 @@ class PoleLocalizedRational:
             if k < 1:
                 raise ValueError(f"principal-part order {k} must be >= 1")
             pp[(i, k)] = c
-        self.pole_set = pole_set
-        self.poly = tuple(coeffs)
-        self.principal = pp
+        _fill(self, pole_set, tuple(coeffs), MappingProxyType(pp), None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return PoleLocalizedRational, (self.pole_set, self.poly, dict(self.principal))
+
+    def _triples(self):
+        """(poly triples, ((i, k), triple) pairs in ``principal`` order), each
+        triple reduced with d > 0, so it is the one _triple gives; built on
+        first use."""
+        t = self._t
+        if t is None:
+            t = (
+                tuple(map(_triple, self.poly)),
+                tuple((ik, _triple(c)) for ik, c in self.principal.items()),
+            )
+            object.__setattr__(self, "_t", t)
+        return t
 
     # ----- constructors -------------------------------------------------
 
@@ -419,8 +450,16 @@ class PoleLocalizedRational:
         )
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = PoleLocalizedRational.constant(self.pole_set, other)
+        c = _operand(other)
+        if c is not None:
+            # only the constant term changes: the other coefficients keep
+            # their Gaussian rationals and their triples
+            poly, pp = self._triples()
+            t = (_tadd(poly[0], c) if poly else c,) + poly[1:]
+            if len(t) == 1 and not (t[0][0] or t[0][1]):
+                t = ()
+            coeffs = (_gaussian(t[0]),) + self.poly[1:] if t else ()
+            return _plr(self.pole_set, coeffs, self.principal, (t, pp))
         if not isinstance(other, PoleLocalizedRational):
             return NotImplemented
         self._check(other)
@@ -434,9 +473,7 @@ class PoleLocalizedRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = PoleLocalizedRational.constant(self.pole_set, other)
-        if not isinstance(other, PoleLocalizedRational):
+        if not isinstance(other, (int, Fraction, GaussianRational, PoleLocalizedRational)):
             return NotImplemented
         return self + (-other)
 
@@ -483,9 +520,12 @@ class PoleLocalizedRational:
         bad = sorted(i for (i, k) in self.principal if k == 1)
         if bad:
             raise ResidueObstruction(bad)
-        poly = (GR_ZERO,) + tuple(c / (m + 1) for m, c in enumerate(self.poly))
-        pp = {(i, k - 1): c / (-(k - 1)) for (i, k), c in self.principal.items()}
-        return PoleLocalizedRational(self.pole_set, poly, pp)
+        poly, pp = self._triples()
+        return _from_triples(
+            self.pole_set,
+            [(0, 0, 1)] + [_reduced(x, y, d * (m + 1)) for m, (x, y, d) in enumerate(poly)],
+            [((i, k - 1), _reduced(-x, -y, d * (k - 1))) for (i, k), (x, y, d) in pp],
+        )
 
     # ----- evaluation ------------------------------------------------------
 
@@ -508,30 +548,61 @@ class PoleLocalizedRational:
         """Exact value; raises PoleEvaluationError at a pole carrying a
         principal term.  Each pole's terms are one Horner sum in
         t = 1/(z - a_i)."""
-        z = GaussianRational.of(z)
-        val = GR_ZERO
-        for c in reversed(self.poly):
-            val = val * z + c
+        zt = _triple(GaussianRational.of(z))
+        poly, pp = self._triples()
+        val = (0, 0, 1)
+        for c in reversed(poly):
+            val = _tadd(_tmul(val, zt), c)
         by_pole = {}
-        for (i, k), c in self.principal.items():
+        for (i, k), c in pp:
             by_pole.setdefault(i, {})[k] = c
         for i, terms in by_pole.items():
-            if z == self.pole_set[i]:
-                raise PoleEvaluationError(f"evaluation at pole {z}")
-            t = GR_ONE / (z - self.pole_set[i])
-            acc = GR_ZERO
+            a = self.pole_set.triples[i]
+            if zt == a:
+                raise PoleEvaluationError(f"evaluation at pole {self.pole_set[i]}")
+            t = _tinv(_tsub(zt, a))
+            acc = (0, 0, 1)
             for k in range(max(terms), 0, -1):
                 if k in terms:
-                    acc = acc + terms[k]
-                acc = acc * t
-            val = val + acc
-        return val
+                    acc = _tadd(acc, terms[k])
+                acc = _tmul(acc, t)
+            val = _tadd(val, acc)
+        return _gaussian(val)
 
     def __str__(self):
         return format_plr(self)
 
     def __repr__(self):
         return f"<PoleLocalizedRational {format_plr(self)}>"
+
+
+def _fill(f, pole_set, poly, principal, triples):
+    """Set the fields of ``f`` from parts already in normal form; ``triples``
+    is their triple form, or None to build it on first use."""
+    object.__setattr__(f, "pole_set", pole_set)
+    object.__setattr__(f, "poly", poly)
+    object.__setattr__(f, "principal", principal)
+    object.__setattr__(f, "_t", triples)
+    return f
+
+
+def _plr(pole_set, poly, principal, triples) -> PoleLocalizedRational:
+    return _fill(object.__new__(PoleLocalizedRational), pole_set, poly, principal, triples)
+
+
+def _from_triples(pole_set, poly, pp) -> PoleLocalizedRational:
+    """The function with reduced coefficient triples ``poly`` (a list) and
+    ``pp`` ((i, k), triple) pairs, zero terms dropped; these become its
+    triple form, and each kept coefficient's Fraction parts are built once."""
+    while poly and not (poly[-1][0] or poly[-1][1]):
+        poly.pop()
+    pp = tuple((ik, t) for ik, t in pp if t[0] or t[1])
+    return _plr(
+        pole_set,
+        tuple(map(_gaussian, poly)),
+        MappingProxyType({ik: _gaussian(t) for ik, t in pp}),
+        (tuple(poly), pp),
+    )
 
 
 # ----- product in normal form ------------------------------------------------
@@ -555,11 +626,9 @@ def _divide_linear(coeffs, a):
 
 def _multiply(f: PoleLocalizedRational, g: PoleLocalizedRational) -> PoleLocalizedRational:
     ps = f.pole_set
-    poles = [_triple(a) for a in ps]
-    f_poly = [_triple(c) for c in f.poly]
-    g_poly = [_triple(c) for c in g.poly]
-    f_pp = [(ik, _triple(c)) for ik, c in f.principal.items()]
-    g_pp = [(ik, _triple(c)) for ik, c in g.principal.items()]
+    poles = ps.triples
+    f_poly, f_pp = f._triples()
+    g_poly, g_pp = g._triples()
     poly = {}
     pp = {}
 
@@ -605,11 +674,7 @@ def _multiply(f: PoleLocalizedRational, g: PoleLocalizedRational) -> PoleLocaliz
                     _acc(pp, (s, p), (x, y, e))
 
     # the keys of poly are always 0, ..., len(poly) - 1
-    return PoleLocalizedRational(
-        ps,
-        [_gaussian(poly[m]) for m in range(len(poly))],
-        {ik: _gaussian(t) for ik, t in pp.items()},
-    )
+    return _from_triples(ps, [poly[m] for m in range(len(poly))], pp.items())
 
 
 # ----- text forms -------------------------------------------------------------

@@ -27,6 +27,8 @@ from hyperlog import (
     witness_to_degree1_relation,
 )
 
+from test_exact_workload import HYPERBENCH, load_workloads
+
 PLR = PoleLocalizedRational
 E = Word()
 X0 = Word((0,))
@@ -187,6 +189,35 @@ class TestRationalCoefficientTable:
     def test_basepoint_at_pole_rejected(self, counterexample_multiplier):
         with pytest.raises(ValueError):
             rational_coefficient_table(counterexample_multiplier, 0, 1)
+
+    def test_bad_depth_rejected(self, counterexample_multiplier):
+        for N in (-3, -1, 2.5, True, "2", None):
+            with pytest.raises(ValueError, match="table depth"):
+                rational_coefficient_table(counterexample_multiplier, -1, N)
+        assert set(rational_coefficient_table(counterexample_multiplier, -1, 0).entries) == {E}
+
+    def test_invariants_on_seeded_exact_tasks(self, monkeypatch):
+        """On 60 tasks of the benchmark's exact generator at depth 4, every
+        entry integrates its step, d(entries[x v]) = u_x entries[v], and
+        vanishes at z0; every blocked word's step has a nonzero residue; and
+        every step from an entry below depth 4 is either taken or blocked."""
+        exact = load_workloads(monkeypatch).Exact(str(HYPERBENCH.parent), None)
+        cycles = exact.cycles(2)
+        for _ in range(60):
+            (task,) = next(cycles)
+            M, z0, _, _ = exact.prepare(task)
+            tab = rational_coefficient_table(M, z0, 4)
+            for w, F in tab.entries.items():
+                if w:
+                    assert F.derivative() == M.terms[w[0]] * tab.entries[Word(w[1:])]
+                    assert F.evaluate_exact(z0) == 0
+            for w in tab.blocked:
+                step = M.terms[w[0]] * tab.entries[Word(w[1:])]
+                assert any(step.residue(i) for i in range(len(M.pole_set)))
+            for v in tab.entries:
+                steps = {Word((x.index,)) + v for x in M.alphabet}
+                assert len(v) == 4 or steps <= tab.entries.keys() | tab.blocked
+            assert all(len(w) <= 4 for w in (*tab.entries, *tab.blocked))
 
     MIXED_Z0 = GaussianRational(-1, Fraction(1, 2))
 

@@ -1,8 +1,10 @@
+import copy
 import math
 import operator
 import pickle
 import random
 import time
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -426,6 +428,31 @@ class TestCalculus:
             assert F == shifted
 
 
+def fraction_value(f, z):
+    """f(z) written out on Fraction parts: the polynomial part as a Horner sum
+    in z, each principal term as c t^k with t = 1/(z - a_i)."""
+
+    def mul(p, q):
+        return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+    def add(p, q):
+        return p[0] + q[0], p[1] + q[1]
+
+    zp = (z.re, z.im)
+    val = (Fraction(0), Fraction(0))
+    for c in reversed(f.poly):
+        val = add(mul(val, zp), (c.re, c.im))
+    for (i, k), c in f.principal.items():
+        a = f.pole_set[i]
+        dx, dy = z.re - a.re, z.im - a.im
+        n = dx * dx + dy * dy
+        term = (c.re, c.im)
+        for _ in range(k):
+            term = mul(term, (dx / n, -dy / n))
+        val = add(val, term)
+    return val
+
+
 class TestEvaluate:
     def test_point_values(self, ps):
         assert PLR.simple_pole(ps, 0).evaluate(2) == pytest.approx(0.5)
@@ -450,27 +477,27 @@ class TestEvaluate:
 
     @given(st.data())
     def test_exact_is_the_per_term_sum(self, data):
-        """evaluate_exact sums each pole's terms as one Horner sum in
-        1/(z - a_i); it must equal sum c/(z - a_i)^k + poly(z) term by term,
-        and reject exactly the poles that carry a term."""
+        """evaluate_exact runs on the triple form and sums each pole's terms
+        as one Horner sum in 1/(z - a_i); it must equal the Fraction sum
+        written out in :func:`fraction_value`, and reject exactly the poles
+        that carry a term."""
         ps = PoleSet(data.draw(st.lists(gaussians, min_size=1, max_size=3, unique=True)))
         keys = st.tuples(st.integers(0, len(ps) - 1), st.integers(1, 3))
         poly = data.draw(st.lists(gaussians, max_size=4))
         f = PLR(ps, poly, data.draw(st.dictionaries(keys, gaussians, max_size=3 * len(ps))))
 
-        def per_term(z):
-            val = sum((c * z**m for m, c in enumerate(f.poly)), GR_ZERO)
-            return val + sum((c / (z - ps[i]) ** k for (i, k), c in f.principal.items()), GR_ZERO)
+        def check(z):
+            r = f.evaluate_exact(z)
+            assert type(r) is GaussianRational and (r.re, r.im) == fraction_value(f, z)
 
-        z = data.draw(gaussians.filter(lambda z: z not in ps.points))
-        assert f.evaluate_exact(z) == per_term(z)
+        check(data.draw(gaussians.filter(lambda z: z not in ps.points)))
         carriers = {i for i, _ in f.principal}
         for i, a in enumerate(ps):
             if i in carriers:
                 with pytest.raises(PoleEvaluationError):
                     f.evaluate_exact(a)
             else:
-                assert f.evaluate_exact(a) == per_term(a)
+                check(a)
 
     def test_mul_consistency_float(self):
         rng = random.Random(15)
@@ -486,6 +513,61 @@ class TestEvaluate:
             scale = max(1.0, abs(lhs), abs(rhs))
             assert abs(lhs - rhs) / scale < 1e-12
             checked += 1
+
+
+class TestTripleCores:
+    """Product, primitive and constant shift run on the triple form (the
+    exact value is checked in TestEvaluate); the triple form each result
+    carries must be the one its Fraction parts give."""
+
+    @staticmethod
+    def assert_triples_match_parts(h):
+        assert_normal_form(h)
+        assert h._triples() == PLR(h.pole_set, h.poly, h.principal)._triples()
+
+    @given(kernel_operands())
+    def test_primitive_differentiates_back(self, operands):
+        ps, f, _, _ = operands
+        f = PLR(ps, f.poly, {(i, k + 1): c for (i, k), c in f.principal.items()})
+        F = f.rational_primitive()
+        assert F.derivative() == f
+        assert not F.poly or F.poly[0] == 0
+        assert set(F.principal) == {(i, k - 1) for i, k in f.principal}
+        self.assert_triples_match_parts(F)
+
+    @given(kernel_operands(), st.one_of(gaussians, st.integers(-3, 3), small_fractions, st.booleans()))
+    def test_results_carry_their_own_triples(self, operands, s):
+        ps, f, g, _ = operands
+        results = [f * g, g * f, f + s, s + f, f - s, s - f, PLR.constant(ps, s) - s]
+        if f.poly:
+            results.append(f - f.poly[0])  # the constant term cancels
+        for h in results:
+            self.assert_triples_match_parts(h)
+        assert results[6]._triples() == ((), ())
+        shifted = f + s
+        assert shifted == f + PLR.constant(ps, s)
+        assert list(shifted.principal) == list(f.principal)
+        assert (f - s) + s == f
+
+    def test_immutable(self, ps):
+        f = PLR(ps, (1, 2), {(0, 2): 3})
+        for name in ("pole_set", "poly", "principal", "_t", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(f, name, "junk")
+        for name in ("pole_set", "poly", "principal", "_t"):
+            with pytest.raises(FrozenInstanceError):
+                delattr(f, name)
+        with pytest.raises(TypeError):
+            f.principal[(1, 1)] = GR_ONE
+        assert f == PLR(ps, (1, 2), {(0, 2): 3})
+        for g in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+            assert g == f and g * f == f * f
+
+    def test_principal_key_must_be_ints(self, ps):
+        for key in ((0, 1.5), (0.0, 1), (True, 2), (0, False), ("0", 1), (0, None)):
+            with pytest.raises(ValueError, match="pair of ints"):
+                PLR(ps, (), {key: 1})
+        assert PLR(ps, (), {(1, 2): 1}).principal == {(1, 2): GR_ONE}
 
 
 class TestTextForms:
