@@ -1,11 +1,12 @@
 """Finding and exactly verifying linear relations among coefficients.
 
 For the double-pole multiplier the depth-2 coefficients satisfy a linear
-relation with constant coefficients.  The search samples numeric tables
-at many endpoints, extracts the nullspace of the evaluation matrix,
-snaps the candidate to small exact rationals, and then verifies it by
-exact rational arithmetic: reducing Q with D(Q) = d(Q) + M†Q and pairing
-against exact closed forms of the coefficients.
+relation with constant coefficients.  Each coefficient has a unique normal
+form sum_v r_(w,v) L_v over the hyperlogarithms L_v of the poles, with
+pole-localized rational r_(w,v), and the hyperlogarithms are free over
+those rationals; so the relations are exactly the kernel of the matrix of
+the r_(w,v)'s coefficients, found by exact elimination over Q(i).  Each
+relation's numeric defect is read at fresh sample endpoints as a check.
 
 Run: python3 demos/discover_relations.py
 """
@@ -20,6 +21,7 @@ from hyperlog import (
     discover_relations,
     format_ncpoly,
     format_plr_pretty,
+    normal_form_table,
     rational_coefficient_table,
 )
 
@@ -40,6 +42,15 @@ for w in sorted(table.entries):
     print(f"  <S|{alphabet.format_word(w):6s}> = {format_plr_pretty(table.entries[w])}")
 print("  blocked (need logarithms):",
       ", ".join(alphabet.format_word(w) for w in sorted(table.blocked)))
+
+print("\ntheir normal forms over the hyperlogarithms L(a_1,...) of the poles:")
+forms = normal_form_table(M, -1, 2)
+for w in sorted(table.blocked):
+    terms = [
+        f"({format_plr_pretty(r)})" + (f"*L({','.join(str(poles[j]) for j in v)})" if v else "")
+        for v, r in sorted(forms[w].items())
+    ]
+    print(f"  <S|{alphabet.format_word(w):6s}> = " + " + ".join(terms))
 
 print("\nsearching for relations at depth <= 2, z0 = -1 ...")
 for rel in discover_relations(M, -1, 2):

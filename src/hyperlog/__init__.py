@@ -61,6 +61,7 @@ from .cert import (
     RationalCoefficientTable,
     certify,
     discover_relations,
+    normal_form_table,
     numeric_relation_defect,
     rational_coefficient_table,
     residue_matrix,

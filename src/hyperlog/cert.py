@@ -1,18 +1,22 @@
 """Linear-independence certification for the coefficient family of
-d(S) = MS, and discovery plus exact verification of linear relations
+d(S) = MS, and exact discovery and verification of linear relations
 when independence fails.
 
 A combination sum_x alpha_x u_x has a primitive inside the pole-localized
 field exactly when its simple-pole residues all vanish (higher-order
 principal parts and polynomial parts always integrate rationally), so the
 whole decision reduces to the exact nullspace of the residue matrix.
+
+Every coefficient has a unique normal form <S|w> = sum_v r_(w,v) L_v over
+the hyperlogarithms L_v of the poles, which are free over the
+pole-localized field, so a constant relation is exactly a Q(i)-kernel
+vector of the coefficients of the r_(w,v).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -26,20 +30,10 @@ from .ratfun import (
     PoleSetMismatchError,
     ResidueObstruction,
 )
-from .words import Word, graded_starts
+from .words import Word
 
-# a numeric relation check passes below this defect, at this many endpoints
-NUMERIC_TOL = 1e-8
+# the number of fresh sample endpoints at which a relation's defect is read
 FRESH_SAMPLES = 8
-# the relation search samples max(MIN_SAMPLES, words) endpoints and keeps the
-# right singular vectors below RELATION_TOL times the largest singular value
-MIN_SAMPLES = 24
-RELATION_TOL = 1e-8
-# kernel entries snap to the closest Gaussian rationals of denominator at most
-# SNAP_DENOMINATOR, which must lie within SNAP_DISTANCE; entries below
-# SNAP_DISTANCE leave the support
-SNAP_DENOMINATOR = 10**4
-SNAP_DISTANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -72,14 +66,14 @@ IndependenceVerdict = Independent | Dependent
 
 class RelationStatus(enum.Enum):
     EXACT = "EXACT"
-    NUMERIC = "NUMERIC"
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
 @dataclass
 class Relation:
-    """A claimed kernel element Q with pair(S, Q) = 0, plus how strongly
-    it has been checked.  ``defect`` is the worst numeric residual seen."""
+    """A claimed kernel element Q with pair(S, Q) = 0: ``EXACT`` when it is
+    proved, ``INCONCLUSIVE`` when it is not a relation.  ``defect`` is the
+    worst numeric residual seen, if one was read."""
 
     poly: NCPolynomial
     status: RelationStatus
@@ -220,22 +214,83 @@ def rational_coefficient_table(M: Multiplier, z0, N: int) -> RationalCoefficient
     )
 
 
+def _add(form: dict, v, r) -> None:
+    """form[v] += r."""
+    form[v] = form[v] + r if v in form else r
+
+
+def _primitive_form(integrand: dict, ps, z0: GaussianRational) -> dict:
+    """The normal form of the primitive vanishing at z0 of sum_v g_v L_v,
+    for ``integrand`` = {v: g_v}.
+
+    Each residue c/(z - a_j) of g_v integrates to c L_(j.v).  The
+    residue-free rest, with rational primitive F, integrates by parts to
+    F L_v - (the primitive of F/(z - a_(v_1)) L_(v_2...)), and to
+    F - F(z0) at v = (); the longest words go first, so each v is
+    integrated once, with every term it receives.
+    """
+    by_length = {}
+    for v, g in integrand.items():
+        by_length.setdefault(len(v), {})[v] = g
+    form = {}
+    for n in range(max(by_length, default=-1), -1, -1):
+        for v, g in by_length.get(n, {}).items():
+            for (j, k), c in g.principal.items():
+                if k == 1:
+                    _add(form, (j,) + v, PoleLocalizedRational.constant(ps, c))
+            rest = {jk: c for jk, c in g.principal.items() if jk[1] > 1}
+            F = PoleLocalizedRational(ps, g.poly, rest).rational_primitive()
+            if not v:
+                F = F - F.evaluate_exact(z0)
+            elif F:
+                F_over_pole = F * PoleLocalizedRational.simple_pole(ps, v[0])
+                _add(by_length.setdefault(n - 1, {}), v[1:], -F_over_pole)
+            _add(form, v, F)
+    return {v: r for v, r in form.items() if r}
+
+
+def normal_form_table(M: Multiplier, z0, N: int) -> dict:
+    """{w: {v: r_(w,v)}} for every word w of length <= N: the normal form
+    <S|w> = sum_v r_(w,v) L_v, with S normalized to 1 at z0.
+
+    v runs over words of pole indices and L_v is the hyperlogarithm
+    L_(j.v)(z) = integral from z0 to z of L_v(t) dt/(t - a_j), L_() = 1;
+    the r_(w,v) are nonzero pole-localized rationals, built breadth-first
+    from d<S|x.v> = u_x <S|v> by :func:`_primitive_form`.
+    """
+    if type(N) is not int or N < 0:
+        raise ValueError(f"table depth must be an int >= 0, got {N!r}")
+    z0 = GaussianRational.of(z0)
+    if any(z0 == a for a in M.pole_set):
+        raise ValueError("basepoint coincides with a pole")
+    ps = M.pole_set
+    forms = {Word(): {(): PoleLocalizedRational.one(ps)}}
+    frontier = [Word()]
+    for _ in range(N):
+        new_frontier = []
+        for tail in frontier:
+            for letter in M.alphabet:
+                u = M.terms[letter.index]
+                w = Word((letter.index,)) + tail
+                forms[w] = _primitive_form({v: u * r for v, r in forms[tail].items()}, ps, z0)
+                new_frontier.append(w)
+        frontier = new_frontier
+    return forms
+
+
 def verify_relation(
     Q: NCPolynomial,
     M: Multiplier,
     z0,
     table: RationalCoefficientTable,
-    *,
-    seed: int = 1,
-    eval_tol: float = 1e-12,
-    margin: float = 0.05,
 ) -> Relation:
-    """Check pair(S, Q) = 0 via the reduction: d<S|Q> = <S|D(Q)>, so Q is
-    a relation iff <S|D(Q)> is identically zero and <S|Q> vanishes at z0.
+    """Decide pair(S, Q) = 0 exactly; returns Q as an ``EXACT`` Relation
+    when it holds and an ``INCONCLUSIVE`` one when it does not.
 
-    When every word of supp(D(Q)) has an exact entry the check is exact;
-    otherwise it falls back to the numeric defect at sample endpoints.
-    Returns Q as a Relation with that status and defect.
+    d<S|Q> = <S|D(Q)>, so when every word of supp(D(Q)) has an entry in
+    ``table``, Q is a relation iff <S|D(Q)> is identically zero and <S|Q>
+    vanishes at z0.  Otherwise Q is a relation iff sum_w <Q|w> <S|w> is the
+    zero normal form (:func:`normal_form_table`).
     """
     z0 = GaussianRational.of(z0)
     D = reduce_poly(Q, M)
@@ -248,18 +303,19 @@ def verify_relation(
         if value.is_zero and const_ok:
             return Relation(Q, RelationStatus.EXACT)
         return Relation(Q, RelationStatus.INCONCLUSIVE)
-    defect = numeric_relation_defect(Q, M, z0, seed=seed, eval_tol=eval_tol, margin=margin)
-    if defect <= NUMERIC_TOL:
-        return Relation(Q, RelationStatus.NUMERIC, defect)
-    return Relation(Q, RelationStatus.INCONCLUSIVE, defect)
+    forms = normal_form_table(M, z0, Q.degree())
+    total = {}
+    for w, c in Q.terms.items():
+        for v, r in forms[w].items():
+            _add(total, v, c * r)
+    return Relation(Q, RelationStatus.INCONCLUSIVE if any(total.values()) else RelationStatus.EXACT)
 
 
 def _sample_points(M: Multiplier, z0c: complex, count: int, margin: float, seed: int):
     """Deterministic endpoints clear of the poles, stratified for spread:
     clusters near each pole (where the coefficient functions are farthest
     from low-degree polynomials), a mid annulus around the basepoint, and
-    a far field.  Spread keeps the evaluation matrix well conditioned when
-    the family is actually independent."""
+    a far field."""
     rng = np.random.default_rng(seed)
     poles = M.pole_set.approx
     scale = max(max((abs(a - z0c) for a in poles), default=1.0), 1.0)
@@ -341,49 +397,6 @@ def numeric_relation_defect(
     return worst
 
 
-def _canonical_nullspace_basis(B: np.ndarray) -> list:
-    """Float RREF of the near-null row space, pivoting on the last column
-    (columns are words in graded lex order) still available.
-
-    SVD returns an arbitrary unitary basis of a multi-dimensional kernel;
-    reduced echelon form restores the sparse representatives with each
-    vector monic at its greatest support word, so rationalization can
-    succeed vector by vector.
-    """
-    B = np.array(B, dtype=complex)
-    done = 0
-    for col in reversed(range(B.shape[1])):
-        if done >= len(B):
-            break
-        block = np.abs(B[done:, col])
-        pivot = done + int(np.argmax(block))
-        scale = float(np.abs(B[done:]).max())
-        if scale == 0.0 or abs(B[pivot, col]) < 1e-6 * scale:
-            continue
-        B[[done, pivot]] = B[[pivot, done]]
-        B[done] = B[done] / B[done, col]
-        for r in range(len(B)):
-            if r != done:
-                B[r] = B[r] - B[r, col] * B[done]
-        done += 1
-    return [B[r] for r in range(done)]
-
-
-def _snap_gaussian(zc: complex):
-    """The closest Gaussian rational whose parts have denominators at most
-    SNAP_DENOMINATOR, if its parts lie within SNAP_DISTANCE of zc's; else None."""
-    parts = (zc.real, zc.imag)
-    snapped = [Fraction(x).limit_denominator(SNAP_DENOMINATOR) for x in parts]
-    if all(abs(float(q) - x) <= SNAP_DISTANCE for q, x in zip(snapped, parts)):
-        return GaussianRational(*snapped)
-    return None
-
-
-def relation_samples(n_words: int) -> int:
-    """The sample endpoints of the relation search over ``n_words`` words."""
-    return max(MIN_SAMPLES, n_words)
-
-
 def discover_relations(
     M: Multiplier,
     z0,
@@ -393,50 +406,37 @@ def discover_relations(
     margin: float = 0.05,
     seed: int = 0,
 ) -> list[Relation]:
-    """Numeric kernel search over the constant-coefficient ansatz on words
-    of length <= N, followed by exact (or numeric) verification.
+    """Every constant-coefficient relation on words of length <= N, as the
+    reduced echelon basis of the exact kernel, each vector monic at its
+    greatest word; all are ``EXACT``.
 
-    A family that ``certify`` finds free has no constant-coefficient
-    relation, so it is answered ``[]`` without sampling.  Otherwise,
-    near-null right singular vectors (singular value below RELATION_TOL
-    times the largest) are normalized monic at their greatest word and
-    snapped to Gaussian rationals; a vector with an entry that does not
-    snap is no candidate.  Each candidate keeps the status
-    ``verify_relation`` gives it, and those that fail are dropped.
+    A family that ``certify`` finds free has none, and is answered ``[]``.
+    Otherwise the kernel is that of the matrix whose rows are the (v,
+    polynomial degree or (pole, order)) coefficients of the normal forms
+    and whose columns are the words.  Each relation's ``defect`` is
+    max |sum_w alpha_w <S|w>| over FRESH_SAMPLES endpoints of seed + 1.
     """
     if certify(M).is_independent:
         return []
-    z0 = GaussianRational.of(z0)
-    samples = relation_samples(graded_starts(len(M.alphabet), N)[-1])
-    A, word_list = sample_matrix(M, z0, N, samples, eval_tol=eval_tol, margin=margin, seed=seed)
-    _, sing, Vh = np.linalg.svd(A)  # sing[0] > 0: the empty word's column is all ones
-    null_rows = [np.conj(Vh[j]) for j in range(len(sing)) if sing[j] <= RELATION_TOL * sing[0]]
-    if not null_rows:
+    forms = normal_form_table(M, z0, N)
+    word_list = M.alphabet.words_up_to(N)
+    rows = {}
+    for col, w in enumerate(word_list):
+        for v, r in forms[w].items():
+            for key, c in (*enumerate(r.poly), *r.principal.items()):
+                rows.setdefault((v, key), [GR_ZERO] * len(word_list))[col] = c
+    _, basis = _nullspace(rows.values(), len(word_list))
+    if not basis:
         return []
-    table = rational_coefficient_table(M, z0, N)
+    A, _ = sample_matrix(M, z0, N, FRESH_SAMPLES, eval_tol=eval_tol, margin=margin, seed=seed + 1)
+    kernel = np.array([[complex(a) if a else 0j for a in alpha] for alpha in basis])
+    defects = np.abs(A @ kernel.T).max(axis=0)
     ps = M.pole_set
-    fresh = dict(seed=seed + 1, eval_tol=eval_tol, margin=margin)  # checks use new endpoints
     relations = []
-    for v in _canonical_nullspace_basis(null_rows):
-        v = v / np.max(np.abs(v))
-        support = [i for i in range(len(v)) if abs(v[i]) > SNAP_DISTANCE]
-        if not support:
-            continue
-        lead = support[-1]
-        if len(word_list[lead]) == 0:
-            continue  # a constant alone cannot pair to zero since <S|1> = 1
-        v = v / v[lead]
-        snapped = {word_list[i]: _snap_gaussian(complex(v[i])) for i in support}
-        if None in snapped.values():
-            continue  # a coefficient that does not snap: no candidate
-        Q = NCPolynomial({w: PoleLocalizedRational.constant(ps, g) for w, g in snapped.items()})
-        if any(Q == rel.poly for rel in relations):
-            continue
-        rel = verify_relation(Q, M, z0, table, **fresh)
-        if rel.status is RelationStatus.INCONCLUSIVE:
-            continue
-        if rel.defect is None:
-            rel.defect = numeric_relation_defect(Q, M, z0, **fresh)
-        relations.append(rel)
+    for alpha, defect in zip(basis, defects.tolist()):
+        Q = NCPolynomial(
+            {w: PoleLocalizedRational.constant(ps, a) for w, a in zip(word_list, alpha) if a}
+        )
+        relations.append(Relation(Q, RelationStatus.EXACT, defect))
     relations.sort(key=lambda rel: sorted(rel.poly.terms))
     return relations

@@ -15,7 +15,7 @@ import sys
 
 import yaml
 
-from .cert import certify, discover_relations, relation_samples
+from .cert import certify, discover_relations
 from .chen import (
     PathGeometryError,
     StepSizeUnderflowError,
@@ -307,27 +307,33 @@ def _cmd_order(args) -> int:
     return EXIT_OK
 
 
-def _word_count(cfg: ProblemConfig) -> int:
-    """The number of words of length <= truncation; past length 64 a lower
-    bound of at least 2^64, or N + 1 for one letter."""
-    N = cfg.truncation
-    return max(N + 1, graded_starts(len(cfg.alphabet), min(N, 64))[-1])
+def _word_count(letters: int, N: int) -> int:
+    """The number of words of length <= N over ``letters`` letters; past length
+    64 a lower bound of at least 2^64, or N + 1 for one letter."""
+    return max(N + 1, graded_starts(letters, min(N, 64))[-1])
 
 
 def _require_memory(cfg: ProblemConfig, nbytes: int) -> None:
-    """Exit 2 before a command allocates an array larger than physical memory."""
+    """Exit 2 before a command builds data larger than physical memory."""
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if nbytes > memory:
         raise ConfigError(
-            f"truncation {cfg.truncation} is too large: it needs an array of {nbytes} "
-            f"bytes, more than the {memory} bytes of physical memory"
+            f"truncation {cfg.truncation} is too large: it needs up to {nbytes} bytes, "
+            f"more than the {memory} bytes of physical memory"
         )
+
+
+# bytes per term of a relation search's normal forms, whose terms are at most
+# (words) x (words over the poles): the traced peak of the search over that
+# bound read 87-145 on configs/counterexample.yaml at N = 6-7, and 338-701 at
+# N = 2-5 on a three-pole multiplier with polynomial parts
+FORM_TERM_BYTES = 1024
 
 
 def _table_for_endpoint(cfg: ProblemConfig, z_text: str, N: int, word_bytes: int = 16):
     """The table at ``--z``, once ``word_bytes`` per word (at least the table's
     one complex) fit in physical memory."""
-    _require_memory(cfg, word_bytes * _word_count(cfg))
+    _require_memory(cfg, word_bytes * _word_count(len(cfg.alphabet), cfg.truncation))
     if z_text is None:
         raise ConfigError("this command needs --z RE,IM")
     try:
@@ -377,11 +383,10 @@ def _cmd_certify(args) -> int:
 
 def _cmd_relations(args) -> int:
     cfg = _require_numeric_config(args)
-    if not certify(cfg.multiplier).is_independent:  # a free family is never sampled
-        # the sample matrix and what np.linalg.svd holds besides it: 7.5-7.9 times
-        # the matrix for square complex ones of 800-2400 words (ru_maxrss, one thread)
-        words = _word_count(cfg)
-        _require_memory(cfg, 9 * 16 * words * relation_samples(words))
+    if not certify(cfg.multiplier).is_independent:  # a free family builds no normal form
+        N = cfg.truncation
+        terms = _word_count(len(cfg.alphabet), N) * _word_count(len(cfg.pole_set), N)
+        _require_memory(cfg, FORM_TERM_BYTES * terms)
     found = discover_relations(
         cfg.multiplier, cfg.basepoint, cfg.truncation,
         eval_tol=cfg.tol, margin=cfg.margin, seed=cfg.seed,
@@ -389,14 +394,10 @@ def _cmd_relations(args) -> int:
     if not found:
         _print(args.output, ["no relations found"])
         return EXIT_OK
-    lines = []
-    for rel in found:
-        defect = _fmt(rel.defect) if rel.defect is not None else "-"
-        lines.append(
-            "\t".join(
-                [format_ncpoly(rel.poly, cfg.alphabet), rel.status.value, defect]
-            )
-        )
+    lines = [
+        "\t".join([format_ncpoly(rel.poly, cfg.alphabet), rel.status.value, _fmt(rel.defect)])
+        for rel in found
+    ]
     _print(args.output, lines)
     return EXIT_OK
 

@@ -130,7 +130,19 @@ def _operators(kernel):
     return forward, reflected
 
 
-class GaussianRational:
+class _Frozen:
+    """Immutable instances: fields are set once, with object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class GaussianRational(_Frozen):
     """Exact complex number with rational real and imaginary parts.
 
     Immutable; ``re`` and ``im`` are reduced Fractions.  Every arithmetic
@@ -145,12 +157,6 @@ class GaussianRational:
     def __init__(self, re=Fraction(0), im=Fraction(0)):
         object.__setattr__(self, "re", parse_fraction(re) if isinstance(re, str) else Fraction(re))
         object.__setattr__(self, "im", parse_fraction(im) if isinstance(im, str) else Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return GaussianRational, (self.re, self.im)
@@ -297,7 +303,7 @@ def parse_gaussian(text: str) -> GaussianRational:
     return GaussianRational(re_part, im_part)
 
 
-class PoleSet:
+class PoleSet(_Frozen):
     """Ordered, pairwise-distinct singularity locations a_1, ..., a_n."""
 
     __slots__ = ("points", "approx", "triples")
@@ -306,12 +312,15 @@ class PoleSet:
         pts = tuple(GaussianRational.of(p) for p in points)
         if len(set(pts)) != len(pts):
             raise ValueError("pole locations must be pairwise distinct")
-        self.points = pts
-        self.triples = tuple(_triple(p) for p in pts)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "triples", tuple(_triple(p) for p in pts))
         try:
-            self.approx = tuple(complex(p) for p in pts)
+            object.__setattr__(self, "approx", tuple(complex(p) for p in pts))
         except OverflowError:
             raise ValueError("pole locations must lie in floating-point range") from None
+
+    def __reduce__(self):
+        return PoleSet, (self.points,)
 
     def __len__(self):
         return len(self.points)
@@ -332,7 +341,7 @@ class PoleSet:
         return "PoleSet([%s])" % ", ".join(format_gaussian(p) for p in self.points)
 
 
-class PoleLocalizedRational:
+class PoleLocalizedRational(_Frozen):
     """Rational function with poles confined to a fixed :class:`PoleSet`.
 
     ``poly[m]`` is the z^m coefficient of the polynomial part;
@@ -362,12 +371,6 @@ class PoleLocalizedRational:
                 raise ValueError(f"principal-part order {k} must be >= 1")
             pp[(i, k)] = c
         _fill(self, pole_set, tuple(coeffs), MappingProxyType(pp), None)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return PoleLocalizedRational, (self.pole_set, self.poly, dict(self.principal))

@@ -19,14 +19,17 @@ from hyperlog import (
     discover_relations,
     format_plr,
     numeric_relation_defect,
+    normal_form_table,
     parse_gaussian,
     rational_coefficient_table,
+    reduce,
     residue_matrix,
     shuffle_product,
     verify_relation,
     witness_to_degree1_relation,
 )
 
+from conftest import random_gaussian, random_plr, random_pole_set
 from test_exact_workload import HYPERBENCH, load_workloads
 
 PLR = PoleLocalizedRational
@@ -273,6 +276,65 @@ class TestRationalCoefficientTable:
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def form_derivative(form, ps):
+    """d(sum_v r_v L_v) = sum_v r_v' L_v + r_v L_(v_2...)/(z - a_(v_1))."""
+    out = {}
+    for v, r in form.items():
+        parts = [(v, r.derivative())]
+        if v:
+            parts.append((v[1:], r * PLR.simple_pole(ps, v[0])))
+        for key, f in parts:
+            out[key] = out[key] + f if key in out else f
+    return {v: f for v, f in out.items() if f}
+
+
+class TestNormalFormTable:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_multipliers_match_table_and_derivative(self, seed):
+        """Two oracles at depth 3: the forms without hyperlogarithms are the
+        rational table's entries, their first extensions its blocked words,
+        and each form differentiates to u_x times the form it extends."""
+        rng = random.Random(seed)
+        ps = random_pole_set(rng)
+        a = Alphabet(["x0", "x1"])
+        M = Multiplier(a, ps, {i: random_plr(rng, ps) for i in range(2)})
+        z0 = random_gaussian(rng)
+        while z0 in ps.points:
+            z0 = random_gaussian(rng)
+        forms = normal_form_table(M, z0, 3)
+        tab = rational_coefficient_table(M, z0, 3)
+
+        def rational(w):  # the form of w and of each of its suffixes lacks L_v, v != ()
+            return all(set(forms[Word(w[k:])]) <= {()} for k in range(len(w) + 1))
+
+        entries = {w: F.get((), PLR.zero(ps)) for w, F in forms.items() if rational(w)}
+        blocked = {w for w in forms if w and rational(w[1:]) and not rational(w)}
+        assert (entries, blocked) == (tab.entries, tab.blocked)
+        for w, form in forms.items():
+            if w:
+                u = M.terms[w[0]]
+                want = {v: f for v, r in forms[Word(w[1:])].items() if (f := u * r)}
+                assert form_derivative(form, ps) == want, w
+
+    def test_fuchsian_form_is_one_hyperlogarithm(self, polylog_multiplier):
+        # u_x = c_x/(z - a_x): <S|x_1...x_n> = c_1...c_n L_(a_1...a_n), so every
+        # form is one term, the forms are free and the kernel is empty
+        M = polylog_multiplier
+        forms = normal_form_table(M, "1/2", 5)
+        assert len(forms) == 63
+        for w, form in forms.items():
+            weight = PLR.one(M.pole_set)
+            for i in w:
+                weight = weight * M.terms[i].residue(M.fuchsian_form[i][0])
+            assert form == {tuple(M.fuchsian_form[i][0] for i in w): weight}
+
+    def test_rejects_bad_depth_and_basepoint(self, counterexample_multiplier):
+        with pytest.raises(ValueError):
+            normal_form_table(counterexample_multiplier, -1, -1)
+        with pytest.raises(ValueError):
+            normal_form_table(counterexample_multiplier, 1, 2)
+
+
 class TestVerifyRelation:
     def test_true_relation_exact(self, counterexample_multiplier, poles01):
         M = counterexample_multiplier
@@ -295,16 +357,20 @@ class TestVerifyRelation:
         out = verify_relation(Q, M, -1, tab)
         assert out.status is RelationStatus.INCONCLUSIVE
 
-    def test_blocked_words_fall_back_to_numeric(self, counterexample_multiplier, poles01):
+    def test_blocked_words_decided_by_the_form(self, counterexample_multiplier, poles01):
         # shuffle a true relation with x0: still a true relation, but its
         # reduction support hits the blocked words x0x1 / x1x0
         M = counterexample_multiplier
         R2 = expected_counterexample_relation(poles01, Fraction(-1))
         Q3 = shuffle_product(R2, NCPolynomial({X0: PLR.one(poles01)}))
         tab = rational_coefficient_table(M, -1, 3)
+        assert not all(w in tab.entries for w in reduce(Q3, M).terms)
         out = verify_relation(Q3, M, -1, tab)
-        assert out.status is RelationStatus.NUMERIC
-        assert out.defect is not None and out.defect < 1e-8
+        assert out.status is RelationStatus.EXACT
+        assert out.defect is None
+        # one more word is no longer a relation, which the form shows exactly
+        out = verify_relation(Q3 + NCPolynomial({Word((0, 1, 0)): PLR.one(poles01)}), M, -1, tab)
+        assert out.status is RelationStatus.INCONCLUSIVE
 
 
 class TestDiscoverRelations:
@@ -322,8 +388,8 @@ class TestDiscoverRelations:
         assert rels[0].status is RelationStatus.EXACT
 
     def test_depth3_kernel_is_canonicalized(self, counterexample_multiplier, poles01):
-        # the depth-3 kernel is multi-dimensional; echelon canonicalization
-        # must produce monic rational vectors, not rotated SVD noise
+        # the depth-3 kernel is multi-dimensional; its basis is the reduced
+        # echelon one, each vector monic at its greatest word
         rels = discover_relations(counterexample_multiplier, -1, 3)
         assert len(rels) == 5
         depth2 = expected_counterexample_relation(poles01, Fraction(-1))
@@ -339,14 +405,15 @@ class TestDiscoverRelations:
     def test_polylog_finds_nothing(self, polylog_multiplier):
         assert discover_relations(polylog_multiplier, -1, 2) == []
 
-    @pytest.mark.parametrize("N", [4, 5, 6])
+    @pytest.mark.parametrize("N", range(7))
     def test_free_family_is_not_sampled(self, polylog_multiplier, monkeypatch, N):
-        # the residue criterion answers a free family: no table is evaluated,
-        # so no ill-conditioned kernel can pass for a relation
+        # the residue criterion answers a free family: no normal form is
+        # built and no table is evaluated
         def no_table(*args, **kwargs):
             raise AssertionError("a free family must not be sampled")
 
         monkeypatch.setattr(cert, "eval_coeffs", no_table)
+        monkeypatch.setattr(cert, "normal_form_table", no_table)
         assert discover_relations(polylog_multiplier, -1, N) == []
 
     @pytest.mark.parametrize(
@@ -359,19 +426,25 @@ class TestDiscoverRelations:
         # 26/375*i at -1+i), so their count depends on neither z0 nor the seed
         z0 = parse_gaussian(z0)
         rels = discover_relations(counterexample_multiplier, z0, 4, seed=seed)
-        statuses = [r.status for r in rels]
         assert len(rels) == 16
-        assert statuses.count(RelationStatus.EXACT) == 5
-        assert statuses.count(RelationStatus.NUMERIC) == 11
+        assert all(r.status is RelationStatus.EXACT for r in rels)
         depth2 = expected_counterexample_relation(poles01, z0)
-        assert any(r.poly == depth2 and r.status is RelationStatus.EXACT for r in rels)
+        assert any(r.poly == depth2 for r in rels)
         assert len({max(r.poly.terms) for r in rels}) == 16
         for r in rels:
             assert r.poly.coeff(max(r.poly.terms)) == PLR.one(poles01)
             assert r.defect < 1e-9
-            for c in r.poly.terms.values():
-                assert all(q.re.denominator <= cert.SNAP_DENOMINATOR
-                           and q.im.denominator <= cert.SNAP_DENOMINATOR for q in c.poly)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("z0", ["-1", "1/2", "-1+i"])
+    def test_counterexample_counts_through_depth6(self, counterexample_multiplier, z0, seed):
+        # the kernel is exact at every depth: the rank, words - relations,
+        # is (N+1)(N+2)/2, and each relation checks out at fresh endpoints
+        for N, count in zip(range(2, 7), (1, 5, 16, 42, 99)):
+            rels = discover_relations(counterexample_multiplier, parse_gaussian(z0), N, seed=seed)
+            assert len(rels) == count, N
+            assert 2 ** (N + 1) - 1 - count == (N + 1) * (N + 2) // 2
+            assert all(r.status is RelationStatus.EXACT and r.defect < 1e-8 for r in rels)
 
     def test_truncation_zero(self, counterexample_multiplier):
         assert discover_relations(counterexample_multiplier, -1, 0) == []

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 from hyperlog.chen import build_path, eval_coeffs
-from hyperlog.cli import ProblemConfig, load_config, main
+from hyperlog.cli import FORM_TERM_BYTES, ProblemConfig, load_config, main
 from hyperlog.tsv import row_width
 from hyperlog.words import Alphabet
 
@@ -72,13 +72,12 @@ def assert_rejected_under_2gib(argv, config=POLYLOG):
     assert proc.stdout == "" and proc.stderr.startswith("error: truncation")
 
 
-def deepest_svd_that_does_not_fit():
-    """The deepest two-letter truncation whose sample matrix (samples = words)
-    fits in physical memory while its SVD does not."""
+def shallowest_forms_that_do_not_fit():
+    """The shallowest truncation of a two-letter, two-pole family whose bound
+    on its normal forms, (2^(N+1) - 1) words times as many pole words, each
+    term of FORM_TERM_BYTES, exceeds physical memory."""
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    N = max(n for n in range(64) if 16 * (2 ** (n + 1) - 1) ** 2 <= memory)
-    assert 9 * 16 * (2 ** (N + 1) - 1) ** 2 > memory
-    return N
+    return min(N for N in range(64) if FORM_TERM_BYTES * (2 ** (N + 1) - 1) ** 2 > memory)
 
 
 class TestShuffle:
@@ -318,8 +317,7 @@ class TestRelations:
         assert out == "no relations found\n"
 
     def test_polylog_deep_none(self, capsys):
-        # at depth 5 the sample matrix's kernel holds ill-conditioned noise
-        # that once printed as three NUMERIC relations; the family is free
+        # the family is free, so no relation prints at any depth
         code, out, _ = run(capsys, "relations", "--config", POLYLOG, "--N", "5")
         assert code == 0
         assert out == "no relations found\n"
@@ -330,8 +328,7 @@ class TestRelations:
         assert out == "no relations found\n"
 
     def test_depth4_large_denominator(self, capsys):
-        # 27/128 lies past the old snapping denominator of 64; its relation
-        # was once approximated, failed the exact check and was dropped
+        # the coefficient 27/128 at z0 = -3 is exact, whatever its denominator
         code, out, _ = run(
             capsys, "relations", "--config", COUNTER, "--N", "4", "--z0", "-3", "--seed", "3"
         )
@@ -340,9 +337,8 @@ class TestRelations:
         assert len(out.splitlines()) == 16
 
     def test_relations_outputs_pinned(self, capsys):
-        """Relations at depths 2 and 3 have small denominators, so a change of
-        the snapping rule must leave the exit code and stdout of every seeded
-        run at these basepoints unchanged."""
+        """The exit code and stdout of every seeded run at depths 2 and 3 at
+        these basepoints: every relation is EXACT."""
         digest = hashlib.sha256()
         for N in ("2", "3"):
             for z0 in ("-1", "2", "i", "-3", "1/2", "1+i", "-1/2", "-1+i"):
@@ -350,7 +346,7 @@ class TestRelations:
                     capsys, "relations", "--config", COUNTER, "--N", N, f"--z0={z0}", "--seed", "3"
                 )
                 digest.update(f"{code}\n{out}\n".encode())
-        assert digest.hexdigest() == "7b73a76c71759b7592b8c4e1d5b4829a1b6e23fda7756da21e96d077910399fb"
+        assert digest.hexdigest() == "8eaa32ac90e6878c8b6f9363f418d3f64bad0ec4fd23f8d9e0b523ffb9fa1aaa"
 
     def test_byte_identical_reruns(self, capsys):
         # covers the numeric table of eval as well as the relation search
@@ -583,7 +579,7 @@ class TestParsing:
     )
     def test_truncation_too_large(self, argv):
         # relations checks memory only for a dependent family; a free one
-        # is answered without an array (test_free_family_needs_no_memory)
+        # is answered without normal forms (test_free_family_needs_no_memory)
         assert_rejected_under_2gib(argv, COUNTER if argv[0] == "relations" else POLYLOG)
 
     def test_tsv_rows_too_large(self):
@@ -594,13 +590,13 @@ class TestParsing:
         assert (2 ** (N + 1) - 1) * (16 + 2 * row_width(N, ["x0", "x1"])) > memory
         assert_rejected_under_2gib(["eval", f"--N={N}"])
 
-    def test_relations_svd_too_large(self):
-        assert_rejected_under_2gib(["relations", f"--N={deepest_svd_that_does_not_fit()}"], COUNTER)
+    def test_relations_forms_too_large(self):
+        assert_rejected_under_2gib(["relations", f"--N={shallowest_forms_that_do_not_fit()}"], COUNTER)
 
-    @pytest.mark.parametrize("N", ["svd", "200"])
+    @pytest.mark.parametrize("N", ["form", "200"])
     def test_free_family_needs_no_memory(self, N):
-        # the residue criterion answers polylog without sampling, even at
-        # depths whose sample matrix would not fit in memory
-        N = deepest_svd_that_does_not_fit() if N == "svd" else int(N)
+        # the residue criterion answers polylog without normal forms, even at
+        # depths whose forms would not fit in memory
+        N = shallowest_forms_that_do_not_fit() if N == "form" else int(N)
         proc = run_under_2gib(["relations", f"--N={N}"], POLYLOG)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "no relations found\n", "")

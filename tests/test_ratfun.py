@@ -284,6 +284,20 @@ class TestPoleSet:
         assert ps[0] == GaussianRational(Fraction(1, 2))
         assert complex(ps[1]) == 1 + 1j
 
+    def test_immutable(self):
+        # approx and triples could otherwise describe poles that are gone
+        ps = PoleSet(["0", "1"])
+        f = PLR.simple_pole(ps, 0)
+        for name in ("points", "approx", "triples", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(ps, name, (GaussianRational(5), GaussianRational(1)))
+        for name in ("points", "approx", "triples"):
+            with pytest.raises(FrozenInstanceError):
+                delattr(ps, name)
+        assert f.evaluate(2) == 0.5 and f.evaluate_exact(2) == Fraction(1, 2)
+        for q in (pickle.loads(pickle.dumps(ps)), copy.copy(ps), copy.deepcopy(ps)):
+            assert q == ps and q.approx == ps.approx and q.triples == ps.triples
+
 
 class TestLinearOps:
     def test_cancellation(self, ps):
