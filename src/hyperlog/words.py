@@ -6,7 +6,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Iterator
+
+from .ratfun import _Frozen
 
 
 @dataclass(frozen=True)
@@ -50,11 +53,13 @@ class Word(tuple):
 EMPTY_WORD = Word()
 
 
-class Alphabet:
+class Alphabet(_Frozen):
     """Ordered letters; list position is both the index and the letter order.
 
     Names are nonempty, not ``1`` and free of ``.``, whitespace and control
-    characters, so that dot syntax spells every word one way."""
+    characters, so that dot syntax spells every word one way.  Immutable."""
+
+    __slots__ = ("letters", "_by_name")
 
     def __init__(self, names: Iterable[str]):
         names = list(names)
@@ -69,8 +74,12 @@ class Alphabet:
                     f"letter name {n!r} must be nonempty, not '1', and free of "
                     "'.', whitespace and control characters"
                 )
-        self.letters = tuple(Letter(i, n) for i, n in enumerate(names))
-        self._by_name = {l.name: l for l in self.letters}
+        letters = tuple(Letter(i, n) for i, n in enumerate(names))
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "_by_name", MappingProxyType({l.name: l for l in letters}))
+
+    def __reduce__(self):
+        return Alphabet, ([l.name for l in self.letters],)
 
     def __len__(self):
         return len(self.letters)

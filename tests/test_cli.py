@@ -244,6 +244,60 @@ class TestEval:
         assert target.read_text() == "1\t1\t0\t0\n"
 
 
+class TestOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "--z", "0.5", "--N", "3"], ["grouplike", "--z", "0.5"], ["certify"]],
+        ids=["eval", "grouplike", "certify"],
+    )
+    def test_overwrites_a_longer_file(self, capsys, tmp_path, argv):
+        # the file is rewritten in place and then cut to the new length
+        code, want, _ = run(capsys, *argv, "--config", POLYLOG)
+        target = tmp_path / "out"
+        target.write_bytes(b"x" * (len(want) + 4096))
+        assert run(capsys, *argv, "--config", POLYLOG, "--output", str(target)) == (code, "", "")
+        assert target.read_bytes() == want.encode()
+
+    def test_dev_null(self, capsys):
+        # not a regular file: it gets the bytes and is not cut to length
+        argv = ("eval", "--config", POLYLOG, "--z", "0.5", "--N", "2", "--output", os.devnull)
+        assert run(capsys, *argv) == (0, "", "")
+
+
+class TestConfigCache:
+    def test_rewritten_config_is_reread(self, capsys, tmp_path):
+        config = tmp_path / "config.yaml"
+        config.write_text(Path(POLYLOG).read_text())
+        assert run(capsys, "certify", "--config", str(config)) == (0, "INDEPENDENT\n", "")
+        config.write_text(Path(COUNTER).read_text())
+        assert run(capsys, "certify", "--config", str(config))[0] == 10
+        config.write_text("letters: [\n")
+        for _ in range(2):  # a failure is never cached
+            code, out, err = run(capsys, "certify", "--config", str(config))
+            assert (code, out) == (2, "") and err.startswith(f"error: cannot parse config {config}")
+
+    def test_overrides_do_not_leak(self, capsys):
+        ev = ("eval", "--config", POLYLOG, "--z", "0.5")
+        code, plain, _ = run(capsys, *ev)
+        assert code == 0 and len(plain.splitlines()) == 2 ** 5 - 1  # truncation: 4
+        for override in (["--N", "3"], ["--z0", "1/2"], ["--tol", "1e-6", "--margin", "0.1"]):
+            assert run(capsys, *ev, *override)[1] != plain
+            assert run(capsys, *ev) == (0, plain, "")
+        cfg = load_config(POLYLOG)
+        cfg.truncation = 9
+        assert load_config(POLYLOG).truncation == 4
+
+    def test_same_bytes_parsed_once(self, monkeypatch, tmp_path):
+        calls = []
+        real_load = yaml.load
+        monkeypatch.setattr(yaml, "load", lambda *a, **k: calls.append(a) or real_load(*a, **k))
+        config = tmp_path / "config.yaml"
+        config.write_text(Path(POLYLOG).read_text())
+        first, second = load_config(str(config)), load_config(str(config))
+        assert len(calls) == 1 and first is not second
+        assert first.multiplier is second.multiplier
+
+
 def test_tables_build_no_word_list(capsys, monkeypatch):
     # tables are positional: neither the propagator nor eval and grouplike
     # spell out the list of every word (2047 tuples at N = 10)
@@ -473,6 +527,15 @@ class TestParsing:
         code, out, err = run(capsys, "certify", "--config", str(bad))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_non_utf8_config(self, capsys, tmp_path):
+        # byte 0xff in a letter name raised UnicodeDecodeError with exit 1
+        bad = tmp_path / "bad.yaml"
+        bad.write_bytes(Path(POLYLOG).read_bytes().replace(b"name: x1", b"name: x\xff1"))
+        code, out, err = run(capsys, "certify", "--config", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot parse config {bad}: ") and "Traceback" not in err
+        assert f'in "{bad}", position' in err
 
     @pytest.mark.parametrize("field", ["tol", "margin"])
     def test_boolean_tol_and_margin(self, capsys, tmp_path, field):

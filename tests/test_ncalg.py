@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -243,6 +246,23 @@ class TestMultiplier:
         assert polylog_multiplier.is_fuchsian
         assert polylog_multiplier.fuchsian_form[1] == (1, GaussianRational(-1))
         assert not counterexample_multiplier.is_fuchsian
+
+    def test_immutable(self, polylog_multiplier, poles01):
+        # a config's multiplier is shared by every load of the same text
+        M = polylog_multiplier
+        for name in ("alphabet", "pole_set", "terms", "fuchsian_form", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(M, name, {})
+        with pytest.raises(FrozenInstanceError):
+            delattr(M, "terms")
+        for mapping in (M.terms, M.fuchsian_form):
+            with pytest.raises(TypeError):
+                mapping[0] = PLR.zero(poles01)
+        assert M.term(0) == PLR.simple_pole(poles01, 0)
+        for N in (pickle.loads(pickle.dumps(M)), copy.copy(M), copy.deepcopy(M)):
+            assert (N.alphabet, N.pole_set, N.terms, N.fuchsian_form) == (
+                M.alphabet, M.pole_set, M.terms, M.fuchsian_form
+            )
 
     def test_missing_letters_get_zero(self, poles01):
         a = Alphabet(["x0", "x1"])

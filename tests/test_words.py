@@ -1,5 +1,8 @@
+import copy
 import math
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given
@@ -220,6 +223,19 @@ class TestAlphabet:
     def test_name_that_spells_ambiguously_rejected(self, name):
         with pytest.raises(ValueError, match="letter name"):
             Alphabet(["x0", name])
+
+    def test_immutable(self):
+        # a config's alphabet is shared by every load of the same text
+        a = Alphabet(["x0", "x1"])
+        for name in ("letters", "_by_name", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(a, name, ())
+        with pytest.raises(FrozenInstanceError):
+            delattr(a, "letters")
+        with pytest.raises(TypeError):
+            a._by_name["x2"] = a[0]
+        for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert b == a and b.word("x1.x0") == a.word("x1.x0")
 
     def test_non_ascii_names(self):
         a = Alphabet(["ω0", "ω1"])
