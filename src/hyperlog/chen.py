@@ -32,12 +32,12 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations
-from math import log, sqrt
+from itertools import chain, combinations
+from math import comb, log, sqrt
 
 import numpy as np
 
+from .cache import bounded_cache
 from .ncalg import Multiplier
 from .words import Word, graded_position, graded_starts, graded_words
 from .words import shuffle  # noqa: F401  (hyperbench/tracing.py wraps chen.shuffle)
@@ -248,20 +248,32 @@ def _shift_poly(p: list, c):
     return q
 
 
-def _circle_bound(letters, dist, rad: float, r: float) -> float:
-    """Upper bound on max_i |u_i| over the circle of radius r about a centre
-    at distance dist[j] from pole j and rad from 0; ``letters`` holds per
-    letter its principal terms as (|coefficient|, pole, order) and its
-    polynomial part as (power, |coefficient|)."""
-    worst = 0.0
+def _circle_bounds(letters, dist, rad: float, h: float):
+    """Upper bounds on max_i |u_i| over the circles of radius 2h, 3h and h
+    about a centre at distance dist[j] from pole j and rad from 0, in one
+    pass over the terms; ``letters`` holds per letter its principal terms as
+    (|coefficient|, pole, order) and its polynomial part as (power,
+    |coefficient|)."""
+    r1, r2, r3 = 2.0 * h, 3.0 * h, h
+    w1 = w2 = w3 = 0.0
     for terms, poly in letters:
-        s = 0.0
+        s1 = s2 = s3 = 0.0
         for a, j, k in terms:
-            s += a * (dist[j] - r) ** -k
+            d = dist[j]
+            s1 += a * (d - r1) ** -k
+            s2 += a * (d - r2) ** -k
+            s3 += a * (d - r3) ** -k
         for n, q in poly:
-            s += q * (rad + r) ** n
-        worst = max(worst, s)
-    return worst
+            s1 += q * (rad + r1) ** n
+            s2 += q * (rad + r2) ** n
+            s3 += q * (rad + r3) ** n
+        if s1 > w1:
+            w1 = s1
+        if s2 > w2:
+            w2 = s2
+        if s3 > w3:
+            w3 = s3
+    return w1, w2, w3
 
 
 def _plan_steps(path: PathSpec, letters, poles):
@@ -273,6 +285,7 @@ def _plan_steps(path: PathSpec, letters, poles):
     for a, b in path.segments():
         seg_len = abs(b - a)
         dhat = (b - a) / seg_len
+        conj = dhat.conjugate()
         t = 0.0
         while t < seg_len:
             start = a + dhat * t
@@ -284,29 +297,30 @@ def _plan_steps(path: PathSpec, letters, poles):
             h = (seg_len - t) / 2.0
             for p in poles:
                 q = start - p
-                beta = (q * dhat.conjugate()).real
+                beta = (q * conj).real
                 aq = abs(q)
-                h = min(h, (beta + sqrt(beta * beta + 15.0 * (aq * aq))) / 15.0)
+                root = (beta + sqrt(beta * beta + 15.0 * (aq * aq))) / 15.0
+                if root < h:
+                    h = root
             # U bounds |u_i| on the circle |s| = 2h about c.  Shrinking h
             # until 2hU <= 1 keeps the bounds below near the values
             # themselves (U only falls as h shrinks, so 0.5/U is enough).
+            # Every point of the disc |s| <= 3h about c is within 4h of
+            # start along a line inside the disc, so integrating
+            # d y_(x_i w) = u_i y_w from start bounds |y_w| there by
+            # b_l = sum_j Y_(l-j) x^j / j!, Y_l = max |y_w(start)|, with x
+            # 4h times the bound on that circle; the step itself lies in
+            # the disc |s| <= h
             while True:
                 c = start + dhat * h
                 dist = [abs(c - p) for p in poles]
-                U = _circle_bound(letters, dist, abs(c), 2.0 * h)
+                U, U3, U1 = _circle_bounds(letters, dist, abs(c), h)
                 if not 2.0 * h * U > 1.0:
                     break
                 h = max(h / 2.0, 0.5 / U)
             if h < min(seg_len * 1e-14, (seg_len - t) / 2.0):
                 raise StepSizeUnderflowError(f"step size {h:.3g} underflows at {start}")
-            # Every point of the disc |s| <= 3h about c is within 4h of
-            # start along a line inside the disc, so integrating
-            # d y_(x_i w) = u_i y_w from start bounds |y_w| there by
-            # b_l = sum_j Y_(l-j) x^j / j!, Y_l = max |y_w(start)|; the
-            # step itself lies in the disc |s| <= h
-            x = 4.0 * h * _circle_bound(letters, dist, abs(c), 3.0 * h)
-            lam = 2.0 * h * _circle_bound(letters, dist, abs(c), h)
-            plan.append((c, dhat * h, h, x, lam))
+            plan.append((c, dhat * h, h, 4.0 * h * U3, 2.0 * h * U1))
             t = seg_len if 2.0 * h >= seg_len - t else t + 2.0 * h
     c, H, h, x, lam = zip(*plan) if plan else ((),) * 5
     return np.array(c, complex), np.array(H, complex), np.array(h), np.array(x), np.array(lam)
@@ -336,35 +350,34 @@ def _orders(b, share, tol: float):
     return np.ceil(np.log(np.maximum(ratio, 3.0)) / log(3.0)).astype(int)
 
 
-@lru_cache(maxsize=256)
+@bounded_cache(1 << 20)
 def _series_tables(K: int, orders: tuple):
-    """For series order K and the pole orders of the terms: the powers m,
-    the rows C(k - 1 + m, m) per term of order k, and the weights w[e, s]
-    that give a series' value at sigma = -1, negated (e = 0), and at
-    sigma = 1 less that (e = 1) from its integral's s-th coefficient s,
-    0 < s < K."""
+    """For series order K and the pole orders of the terms: the powers m;
+    the rows C(k - 1 + m, m) per term of order k; and the Hankel matrix
+    hankel[t, e K + n] = w[e, t + n + 1] of the weights w[e, s] that give
+    a series' value at sigma = -1, negated (e = 0), and at sigma = 1 less
+    that (e = 1) from its integral's s-th coefficient s, 0 < s < K."""
     m = np.arange(K)
     ratios = (np.array(orders, dtype=float)[:, None] - 1 + m[1:]) / m[1:]
     binom = np.cumprod(np.c_[np.ones(len(orders)), ratios], axis=1)
     w = np.zeros((2, 2 * K))
     w[0, 1:K] = -((-1.0) ** m[1:]) / m[1:]
     w[1, 1:K] = 1.0 / m[1:] + w[0, 1:K]
-    out = m, binom, w
-    for arr in out:  # shared by every call that hits the cache
-        arr.flags.writeable = False
-    return out
+    hankel = np.ndarray((K, 2, K), float, w, w.itemsize, (w.itemsize, w.strides[0], w.itemsize))
+    return m, binom, hankel.reshape(K, 2 * K)
 
 
-def _step_kernels(c, H, K: int, L: int, N: int, terms, polys):
+def _step_kernels(c, H, K: int, L: int, at, terms, polys):
     """The kernels of a batch of steps of series order K, with centres c
     and half-steps H, stacked along axis 0: JR, which maps the series of a
     stratum below N // 2 to that of the next, less its start value, and
     below that to the gain of the next over the step; and R, which maps
     the series of stratum m = N // 2 to the gain of strata m + 1 .. N
-    from the splits past m, its column 0 the step's own coefficients."""
+    from the splits past m, its column 0 the step's own coefficients; R's
+    rows for words of length k start at at[k] - 1."""
     letter, order, pole, coef = terms
     n = len(c)
-    m, binom, w = _series_tables(K, tuple(order.tolist()))
+    m, binom, hankel = _series_tables(K, tuple(order.tolist()))
     # u_i(c + sigma H) H = sum_m A[i, m] sigma^m, where binom[t, m] is
     # C(k - 1 + m, m) for the order k of term t; A sits behind K zeros
     d = c[:, None] - pole
@@ -383,9 +396,11 @@ def _step_kernels(c, H, K: int, L: int, N: int, terms, polys):
     # one product.  J[m, i, n] is A[i, m - 1 - n] / m, read through a
     # strided view of padded whose negative lags fall on the zeros.  (Copying
     # the view first and scaling by an array of J's shape keeps numpy from
-    # buffering the product through large temporaries.)  Below J in JR sits
-    # 1^T J, the same integrals at sigma = 1.  Row 0 of J and 1^T J weigh
-    # A[i, t] by w[., t + n + 1], a Hankel matrix read through a strided view
+    # buffering the product through large temporaries.  That array is
+    # built per batch: kept per series order, it would hold 16 L K^2 bytes
+    # each, about 1 MB on the eval-deep benchmark, for 0.5% of its time.)
+    # Below J in JR sits 1^T J, the same integrals at sigma = 1.  Row 0 of
+    # J and 1^T J weigh A[i, t] by w[., t + n + 1], the Hankel matrix
     item = padded.itemsize
     lagged = np.ndarray(
         (n, K, L, K), complex, padded, (K - 1) * item,
@@ -395,26 +410,41 @@ def _step_kernels(c, H, K: int, L: int, N: int, terms, polys):
     J = JR[:, : K * L].reshape(n, K, L, K)
     np.copyto(J, lagged)
     J *= np.repeat(1.0 / np.maximum(m, 1) + 0j, L * K).reshape(K, L, K)
-    hankel = np.ndarray((K, 2, K), float, w, w.itemsize, (w.itemsize, w.strides[0], w.itemsize))
-    ends = (A.reshape(n * L, K) @ hankel.reshape(K, 2 * K)).reshape(n, L, 2, K)
+    ends = (A.reshape(n * L, K) @ hankel).reshape(n, L, 2, K)
     J[:, 0], JR[:, K * L :] = ends[:, :, 0], ends[:, :, 1]
     # Row u of R is 1^T J_(u_1) ... J_(u_k), 0 < k <= N - m, in graded
     # order: applied to a series it gives the iterated integral over u at
     # sigma = 1, and its column 0 is the step's own coefficient s_u
-    starts = graded_starts(L, N - N // 2)
-    R = np.empty((n, starts[-1] - 1, K), dtype=complex)
+    R = np.empty((n, at[-1] - 1, K), dtype=complex)
     R[:, :L] = JR[:, K * L :]
-    for k in range(2, len(starts) - 1):
-        rows = R[:, starts[k] - 1 : starts[k + 1] - 1].reshape(n, -1, L * K)
-        np.matmul(R[:, starts[k - 1] - 1 : starts[k] - 1], J.reshape(n, K, L * K), out=rows)
+    for k in range(2, len(at) - 1):
+        rows = R[:, at[k] - 1 : at[k + 1] - 1].reshape(n, -1, L * K)
+        np.matmul(R[:, at[k - 1] - 1 : at[k] - 1], J.reshape(n, K, L * K), out=rows)
     return JR, R
 
 
-def _advance(y, starts, L: int, kernels, Y) -> None:
+@bounded_cache(1 << 16)
+def _layout(L: int, N: int):
+    """Where a table of the words up to length N over L letters keeps its
+    parts: the first index of each stratum (``graded_starts``), also as an
+    array; ``at``, the first row of R for each length of a left part, plus
+    one; and the splits past m = N // 2 that ``_advance`` updates, as
+    (stratum ln of uv, length k of the left part p, R's rows for p)."""
+    m = N // 2
+    starts = tuple(graded_starts(L, N))
+    at = tuple(graded_starts(L, N - m))
+    splits = tuple(
+        (ln, k, at[k] - 1, at[k + 1] - 1) for ln in range(N, m + 1, -1) for k in range(1, ln - m)
+    )
+    return starts, np.array(starts[:-1]), at, splits
+
+
+def _advance(y, layout, L: int, kernels, Y) -> None:
     """Advance the values y over a batch of steps with their kernels,
     recording the largest |<S|w>| of each stratum at each step's start in
     the rows of Y."""
     JR, R = kernels
+    starts, first, _, splits = layout
     N = len(starts) - 2
     m = N // 2
     K = JR.shape[-1]
@@ -424,13 +454,7 @@ def _advance(y, starts, L: int, kernels, Y) -> None:
     # of uv past u) and s_p <S|bv> for u = pb, 0 < |p| < |u|: per stratum
     # of uv and length of p, the rows of R for p, and the start values of
     # bv, which stay so while the strata are updated top down
-    at = graded_starts(L, N - m)  # rows of R for p: at[|p|] - 1 onwards
-    splits = [
-        (strata[ln].reshape(L**k, -1), at[k] - 1, at[k + 1] - 1, strata[ln - k])
-        for ln in range(N, m + 1, -1)
-        for k in range(1, ln - m)
-    ]
-    first = np.array(starts[:-1])
+    splits = [(strata[ln].reshape(L**k, -1), lo, hi, strata[ln - k]) for ln, k, lo, hi in splits]
     unit = np.eye(K, 1, dtype=complex)  # the series of <S|1> = 1
     for j in range(len(JR)):
         np.maximum.reduceat(np.abs(y), first, out=Y[j])
@@ -443,6 +467,36 @@ def _advance(y, starts, L: int, kernels, Y) -> None:
         for top, lo, hi, old in splits:
             top += R[j, lo:hi, :1] * old
         upper += R[j] @ series
+
+
+@bounded_cache(1 << 16)
+def float_form(M: Multiplier):
+    """The multiplier in floats, as the steps read it: per letter, its
+    principal terms as (|coefficient|, index into ``poles``, order) and
+    its polynomial part as (power, |coefficient|), for the bounds; the
+    poles that carry a term; the terms as arrays (a letter-by-term 0/1
+    matrix, order, pole, coefficient); and per letter its polynomial part.
+    OverflowError for a coefficient outside floating-point range."""
+    L = len(M.alphabet)
+    us = [M.terms[i] for i in range(L)]
+    flat = [
+        (i, k, M.pole_set.approx[j], complex(a))
+        for i, u in enumerate(us)
+        for (j, k), a in u.principal.items()
+    ]
+    polys = tuple(tuple(complex(a) for a in u.poly) for u in us)
+    poles = tuple(dict.fromkeys(f[2] for f in flat))
+    letters = tuple(
+        (
+            tuple((abs(a), poles.index(p), k) for i, k, p, a in flat if i == x),
+            tuple((n, abs(a)) for n, a in enumerate(ps)),
+        )
+        for x, ps in enumerate(polys)
+    )
+    letter, order = np.array([f[:2] for f in flat], dtype=int).reshape(-1, 2).T
+    pole, coef = np.array([f[2:] for f in flat], dtype=complex).reshape(-1, 2).T
+    terms = ((letter == np.arange(L)[:, None]).astype(complex), order, pole, coef)
+    return letters, poles, terms, polys
 
 
 def eval_coeffs(M: Multiplier, path: PathSpec, N: int, tol: float) -> CoefficientTable:
@@ -482,28 +536,9 @@ def eval_coeffs(M: Multiplier, path: PathSpec, N: int, tol: float) -> Coefficien
     # graded lex order over L letters is base-L numbering: stratum l starts
     # at sum_(k<l) L^k, and x_i w sits at i L^(l-1) plus w's place in l-1
     L = len(M.alphabet)
-    starts = graded_starts(L, N)
-    # per letter: the principal-part terms, as (letter, order, pole,
-    # coefficient) and also as flat arrays, and the polynomial part; the
-    # bounds take the moduli per letter, over the poles that carry a term
-    us = [M.terms[i] for i in range(L)]
-    flat = [
-        (i, k, M.pole_set.approx[j], complex(a))
-        for i, u in enumerate(us)
-        for (j, k), a in u.principal.items()
-    ]
-    polys = [[complex(a) for a in u.poly] for u in us]
-    poles = list(dict.fromkeys(f[2] for f in flat))
-    letters = [
-        (
-            [(abs(a), poles.index(p), k) for i, k, p, a in flat if i == x],
-            [(n, abs(a)) for n, a in enumerate(ps)],
-        )
-        for x, ps in enumerate(polys)
-    ]
-    letter, order = np.array([f[:2] for f in flat], dtype=int).reshape(-1, 2).T
-    pole, coef = np.array([f[2:] for f in flat], dtype=complex).reshape(-1, 2).T
-    terms = ((letter == np.arange(L)[:, None]).astype(complex), order, pole, coef)
+    layout = _layout(L, N)
+    starts, first, at, _ = layout
+    letters, poles, terms, polys = float_form(M)
 
     centres, halves, hs, xs, lams = _plan_steps(path, letters, poles)
     steps = len(centres)
@@ -513,14 +548,14 @@ def eval_coeffs(M: Multiplier, path: PathSpec, N: int, tol: float) -> Coefficien
     y[0] = 1.0
     Y = np.zeros((steps, N + 1))  # max |<S|w>| per stratum at each step's start
     orders = np.zeros(steps, dtype=int)
-    r_rows = graded_starts(L, N - N // 2)[-1] - 1
+    r_rows = at[-1] - 1
     i = 0
     while i < steps:
         # the start values of the steps ahead are bounded through Chen's
         # lemma by the values here and lam summed over the steps between,
         # so their bound b_l is that of the values here with x raised by
         # that sum
-        Y0 = np.maximum.reduceat(np.abs(y), starts[:-1])
+        Y0 = np.maximum.reduceat(np.abs(y), first)
         K = _orders(_tail_bounds(Y0, xs[i:] + (reach[i:] - reach[i]), N), shares[i:], tol)
         # the batch: the longest run whose stacked kernels (JR, R and the
         # padded A, all complex) fit the budget at the run's largest order
@@ -532,8 +567,8 @@ def eval_coeffs(M: Multiplier, path: PathSpec, N: int, tol: float) -> Coefficien
             n, Kb = n + 1, k
         orders[i : i + n] = K[:n]
         if N:  # at N = 0 the values stay the unit
-            kernels = _step_kernels(centres[i : i + n], halves[i : i + n], Kb, L, N, terms, polys)
-            _advance(y, starts, L, kernels, Y[i : i + n])
+            kernels = _step_kernels(centres[i : i + n], halves[i : i + n], Kb, L, at, terms, polys)
+            _advance(y, layout, L, kernels, Y[i : i + n])
             del kernels  # before the next batch's are built
         i += n
 
@@ -541,8 +576,38 @@ def eval_coeffs(M: Multiplier, path: PathSpec, N: int, tol: float) -> Coefficien
     est = np.zeros(N + 1)
     if steps:
         est[1:] = (_tail_bounds(Y, xs, N)[:, 1:] * 3.0 ** (1 - orders)[:, None]).sum(axis=0)
-    estimates = {ln: float(e) for ln, e in enumerate(est)}
+    estimates = dict(enumerate(est.tolist()))
     return CoefficientTable(y, L, path.z0, path.z, N, estimates, steps, int(orders.max(initial=0)))
+
+
+@bounded_cache(1 << 20)
+def _shuffle_codes(L: int, p: int, q: int):
+    """For words u of length p and v of length q over L letters: ``code_u``
+    and ``code_v``, whose sum code_u[u, s] + code_v[v, s] numbers, in the
+    stratum of length p + q, the word of u shuffle v that carries u on the
+    s-th set of p positions and v on the rest (with words numbered in base
+    L, they are digit matrices times those positions' place values); and
+    the first run of u rows, as many as keep a run's temporaries near 2^18
+    entries: its numbers code_u[:rows, None] + code_v and, for p = q, the
+    mask of its pairs with v at or after u (else None).  Up to N = 7 over
+    three letters every block is one run."""
+    sets = comb(p + q, p)
+    subsets = chain.from_iterable(combinations(range(p + q), p))
+    subsets = np.fromiter(subsets, np.intp, sets * p).reshape(sets, p)
+    taken = np.zeros((sets, p + q), bool)
+    np.put_along_axis(taken, subsets, True, axis=1)
+    rest = np.nonzero(~taken)[1].reshape(sets, q)  # each set's complement, in order
+    place = L ** np.arange(p + q - 1, -1, -1)
+    code_u = _digits(L, p) @ place[subsets].T  # (L^p, sets)
+    code_v = _digits(L, q) @ place[rest].T  # (L^q, sets)
+    first = code_u[: max(1, (1 << 18) // code_v.size), None, :] + code_v
+    upper = ~np.tri(len(first), len(code_v), -1, dtype=bool) if p == q else None
+    return code_u, code_v, first, upper
+
+
+def _digits(L: int, n: int):
+    """The n base-L digits of each word of length n, by its number."""
+    return (np.arange(L**n)[:, None] // L ** np.arange(n - 1, -1, -1)) % L
 
 
 def grouplike_report(T: CoefficientTable):
@@ -550,41 +615,47 @@ def grouplike_report(T: CoefficientTable):
     |<S|u><S|v> - <S|u shuffle v>|; (0.0, None) when no pair qualifies.
 
     The defect is symmetric in u and v, so each unordered pair is checked
-    once and reported with u first in graded lex order.  u shuffle v sums
-    the words carrying u on |u| of their positions and v on the rest
-    (Reutenauer, Free Lie Algebras); with words numbered in base L, the
-    codes of all of them are digit matrices times those positions' place
-    values, read from the table's strata.  Every word over the table's
-    letters must be present (KeyError)."""
+    once and reported with u first in graded lex order; of equal defects,
+    the first in the scan wins (by |u|, then |v|, then u, then v).  u
+    shuffle v sums the words carrying u on |u| of their positions and v on
+    the rest (Reutenauer, Free Lie Algebras); with words numbered in base
+    L, their numbers are sums of a term for u and one for v per position
+    set, which depend on the letters and lengths alone, so
+    ``_shuffle_codes`` keeps them across calls, with the sums for the first
+    run of u rows of each block of lengths (|u|, |v|).  A run, as many rows
+    as keep its temporaries near 2^18 entries, takes one gather, one sum
+    over the position sets, one product and one argmax.  Every word over
+    the table's letters must be present (KeyError)."""
     N, L = T.truncation, T.letters
     if N < 2:
         return 0.0, None
     starts = graded_starts(L, N)
     if len(T.coeffs) < starts[-1]:
         raise KeyError(T.words()[len(T.coeffs)])
-    # per length: values and base-L digits, indexed by code
-    val = [T.coeffs[starts[ln] : starts[ln + 1]] for ln in range(N + 1)]
-    digits = [(np.arange(L**ln)[:, None] // L ** np.arange(ln - 1, -1, -1)) % L for ln in range(N)]
-    worst, worst_pair = 0.0, None
+    val = [T.coeffs[starts[ln] : starts[ln + 1]] for ln in range(N + 1)]  # indexed by number
+    worst, at = 0.0, None
     for p in range(1, N // 2 + 1):
         for q in range(p, N - p + 1):
-            # the C(p+q, p) position sets of u; v takes the rest
-            subsets = list(combinations(range(p + q), p))
-            rest = [[j for j in range(p + q) if j not in s] for s in subsets]
-            place = L ** np.arange(p + q - 1, -1, -1)
-            code_u = digits[p] @ place[np.array(subsets)].T  # (L^p, C)
-            code_v = digits[q] @ place[np.array(rest)].T  # (L^q, C)
-            chunk = max(1, (1 << 18) // code_v.size)  # u rows per temporary
+            code_u, code_v, first, upper = _shuffle_codes(L, p, q)
+            chunk = len(first)  # u rows per run
             for lo in range(0, len(code_u), chunk):
-                rhs = val[p + q][code_u[lo : lo + chunk, None, :] + code_v].sum(axis=-1)
+                codes = first if lo == 0 else code_u[lo : lo + chunk, None, :] + code_v
+                rhs = val[p + q][codes].sum(axis=-1)
                 defect = np.abs(val[p][lo : lo + chunk, None] * val[q] - rhs)
-                if p == q:
-                    defect = np.triu(defect, lo)  # only v at or after u
-                iu, iv = np.unravel_index(np.argmax(defect), defect.shape)
+                if p == q:  # only v at or after u
+                    defect = np.where(upper, defect, 0.0) if lo == 0 else np.triu(defect, lo)
+                iu, iv = divmod(int(defect.argmax()), defect.shape[1])
                 if defect[iu, iv] > worst:
-                    worst = float(defect[iu, iv])
-                    worst_pair = (Word(digits[p][lo + iu]), Word(digits[q][iv]))
-    return worst, worst_pair
+                    worst, at = float(defect[iu, iv]), (p, q, lo + iu, iv)
+    if at is None:
+        return worst, None
+    p, q, u, v = at
+    return worst, (_word(u, L, p), _word(v, L, q))
+
+
+def _word(code: int, L: int, n: int) -> Word:
+    """The word of length n numbered ``code`` in its stratum."""
+    return Word(code // L**k % L for k in range(n - 1, -1, -1))
 
 
 def grouplike_defect(T: CoefficientTable) -> float:

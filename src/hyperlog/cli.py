@@ -25,6 +25,7 @@ from .chen import (
     StepSizeUnderflowError,
     build_path,
     eval_coeffs,
+    float_form,
     grouplike_report,
 )
 from .ncalg import Multiplier, NCPolynomial, format_ncpoly, shuffle_product
@@ -300,9 +301,7 @@ def _require_numeric_config(args) -> ProblemConfig:
     """The config of a command that evaluates the multiplier in floats."""
     cfg = _require_config(args)
     try:
-        for u in cfg.multiplier.terms.values():
-            for c in (*u.poly, *u.principal.values()):
-                complex(c)
+        float_form(cfg.multiplier)  # kept for eval_coeffs, which reads it next
     except OverflowError:
         raise ConfigError("letter coefficients must lie in floating-point range") from None
     return cfg
@@ -357,6 +356,29 @@ def _require_memory(cfg: ProblemConfig, nbytes: int) -> None:
 FORM_TERM_BYTES = 1024
 
 
+# The group-like check reads sum_(p <= q, p + q <= N) L^(p+q) C(p+q, p)
+# (u, v, position set) triples and holds the C(p+q, p) position sets of one
+# pair of lengths at a time.  These bounds take two letters up to N = 16,
+# three up to N = 12 and one up to N = 22 (on a 2-core VM: 24 s, and 2.4 s
+# with 330 MB at one letter); at N = 20 two letters would read 8.4e11
+# triples, about an hour.
+GROUPLIKE_TRIPLES = 1 << 32
+GROUPLIKE_POSITION_SETS = 1 << 20
+
+
+def _grouplike_excess(letters: int, N: int):
+    """Why the group-like check at truncation N over ``letters`` letters is
+    too large, or None; stops at the first length past a bound."""
+    triples = 0
+    for n in range(2, N + 1):
+        if math.comb(n, n // 2) > GROUPLIKE_POSITION_SETS:
+            return f"words of lengths summing to {n} have more than {GROUPLIKE_POSITION_SETS} position sets"
+        triples += letters**n * sum(math.comb(n, p) for p in range(1, n // 2 + 1))
+        if triples > GROUPLIKE_TRIPLES:
+            return f"it would read more than {GROUPLIKE_TRIPLES} (u, v, position set) triples"
+    return None
+
+
 def _table_for_endpoint(cfg: ProblemConfig, z_text: str, N: int, word_bytes: int = 16):
     """The table at ``--z``, once ``word_bytes`` per word (at least the table's
     one complex) fit in physical memory."""
@@ -383,6 +405,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_grouplike(args) -> int:
     cfg = _require_numeric_config(args)
+    excess = _grouplike_excess(len(cfg.alphabet), cfg.truncation)
+    if excess:
+        raise ConfigError(f"truncation {cfg.truncation} is too large for the group-like check: {excess}")
     table = _table_for_endpoint(cfg, args.z, cfg.truncation)
     if args.corrupt and cfg.truncation >= 2:
         table.values[Word((0, 0))] += 0.1

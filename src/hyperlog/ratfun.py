@@ -446,10 +446,11 @@ class PoleLocalizedRational(_Frozen):
     # ----- field operations ----------------------------------------------
 
     def __neg__(self):
-        return PoleLocalizedRational(
+        poly, pp = self._triples()
+        return _from_triples(
             self.pole_set,
-            tuple(-c for c in self.poly),
-            {ik: -c for ik, c in self.principal.items()},
+            [(-x, -y, d) for x, y, d in poly],
+            [(ik, (-x, -y, d)) for ik, (x, y, d) in pp],
         )
 
     def __add__(self, other):
@@ -466,12 +467,13 @@ class PoleLocalizedRational(_Frozen):
         if not isinstance(other, PoleLocalizedRational):
             return NotImplemented
         self._check(other)
-        a, b = sorted((self.poly, other.poly), key=len)
-        poly = [x + y for x, y in zip(a, b)] + list(b[len(a):])
-        pp = dict(self.principal)
-        for ik, c in other.principal.items():
-            pp[ik] = pp[ik] + c if ik in pp else c
-        return PoleLocalizedRational(self.pole_set, poly, pp)
+        (f_poly, f_pp), (g_poly, g_pp) = self._triples(), other._triples()
+        a, b = sorted((f_poly, g_poly), key=len)
+        poly = [_tadd(x, y) for x, y in zip(a, b)] + list(b[len(a):])
+        pp = dict(f_pp)
+        for ik, t in g_pp:
+            pp[ik] = _tadd(pp[ik], t) if ik in pp else t
+        return _from_triples(self.pole_set, poly, pp.items())
 
     __radd__ = __add__
 
@@ -484,11 +486,12 @@ class PoleLocalizedRational(_Frozen):
         return (-self) + other
 
     def scale(self, c) -> "PoleLocalizedRational":
-        c = GaussianRational.of(c)
-        return PoleLocalizedRational(
+        c = _triple(GaussianRational.of(c))
+        poly, pp = self._triples()
+        return _from_triples(
             self.pole_set,
-            tuple(c * a for a in self.poly),
-            {ik: c * a for ik, a in self.principal.items()},
+            [_reduced(*_tmul(c, a)) for a in poly],
+            [(ik, _reduced(*_tmul(c, a))) for ik, a in pp],
         )
 
     def __mul__(self, other):
@@ -507,9 +510,12 @@ class PoleLocalizedRational(_Frozen):
     # ----- calculus -------------------------------------------------------
 
     def derivative(self) -> "PoleLocalizedRational":
-        poly = tuple(m * c for m, c in enumerate(self.poly))[1:] if self.poly else ()
-        pp = {(i, k + 1): c * (-k) for (i, k), c in self.principal.items()}
-        return PoleLocalizedRational(self.pole_set, poly, pp)
+        poly, pp = self._triples()
+        return _from_triples(
+            self.pole_set,
+            [_reduced(m * x, m * y, d) for m, (x, y, d) in enumerate(poly) if m],
+            [((i, k + 1), _reduced(-k * x, -k * y, d)) for (i, k), (x, y, d) in pp],
+        )
 
     def residue(self, i: int) -> GaussianRational:
         """Coefficient of (z - a_i)^(-1)."""

@@ -20,6 +20,9 @@ import functools
 
 import numpy as np
 
+from .cache import bounded_cache
+from .words import graded_starts
+
 G15_WIDTH = 32  # bytes of a g15 field, as 4 uint64 lanes: sign and "0.000", 2 of digits, "e-dd"
 _E_MIN, _E_MAX = -40, 40  # decimal exponents decided without Python's `%` (below _E_MAX)
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter for doubles
@@ -30,15 +33,18 @@ _BLOCK = 4096  # rows per g15 call, which bounds its float64 temporaries
 
 @functools.cache
 def _tables() -> dict:
-    """Per decimal exponent e in ``[_E_MIN, _E_MAX]``, an entry of each uint64
-    column: 10^(14-e) as ``hi`` + ``lo`` with ``hi`` split in Dekker's
-    halves ``hh`` + ``hl``, and ``q``, the modulus whose remainder is the
-    digits after the point (float64 bits); the text ``before`` the digits
-    (the sign's byte, then "0.000") and ``after`` them ("e-dd"); the masks of
-    the 16-byte digit field, each as halves ``0`` and ``1``, that place the
-    point (``low``, ``high``, ``dot``) and restore the zeros of the integer
-    part (``int``).  ``group3`` holds the ASCII of 0..999 as 3 digits and a
-    NUL: plain, then with trailing zeros as NUL."""
+    """Per decimal exponent e in ``[_E_MIN, _E_MAX]``, a column of two uint64
+    tables, each read with one ``take``.  ``floats``, read before rounding
+    settles e, holds 10^(14-e) as ``hi`` + ``lo`` with ``hi`` split in
+    Dekker's halves ``hh`` + ``hl`` (float64 bits, in rows hi, hh, hl, lo).
+    ``text``, read after, holds in its rows: ``q``, the modulus whose
+    remainder is the digits after the point (float64 bits); the text
+    ``before`` the digits (the sign's byte, then "0.000") and ``after``
+    them ("e-dd"); the masks of the 16-byte digit field, each as halves
+    ``0`` and ``1``, that place the point (``low``, ``high``, ``dot``) and
+    restore the zeros of the integer part (``int``).  ``group3`` holds the
+    ASCII of 0..999 as 3 digits and a NUL: plain, then with trailing zeros
+    as NUL."""
     rows = []
     for e in range(_E_MIN, _E_MAX + 1):
         num, den = (10 ** (14 - e), 1) if e <= 14 else (1, 10 ** (e - 14))
@@ -63,8 +69,8 @@ def _tables() -> dict:
             + [int.from_bytes(t, "little") for t in (before, after)]
             + [m >> s & _MASK64 for m in masks for s in (0, 64)]
         )
-    names = "hi hh hl lo q before after low0 low1 high0 high1 dot0 dot1 int0 int1".split()
-    tables = dict(zip(names, np.array(rows, np.uint64).T.copy()))
+    columns = np.array(rows, np.uint64).T.copy()
+    tables = {"floats": columns[:4], "text": columns[4:]}
     digits = np.zeros((2, 1000, 4), np.uint8)
     digits[:, :, :3] = np.indices((10,) * 3, dtype=np.uint8).reshape(3, -1).T + np.uint8(ord("0"))
     digits[1, :, :3] *= ~np.logical_and.accumulate(digits[1, :, 2::-1] == ord("0"), axis=1)[:, ::-1]
@@ -92,16 +98,17 @@ def g15(x: np.ndarray, out: np.ndarray) -> None:
     e += carry
     m[carry] = 1e14
 
-    v0, v1 = _digit_lanes(m, e)
+    q, before, after, low0, low1, high0, high1, dot0, dot1, int0, int1 = c["text"].take(e, axis=1)
+    v0, v1 = _digit_lanes(m, int0, int1)
     # the digits after the point move up a byte, behind the point if any
     # digit follows it (frac)
-    q = c["q"].take(e).view(np.float64)
+    q = q.view(np.float64)
     frac = m != np.floor(m / q) * q
-    out[..., 0] = c["before"].take(e) | np.signbit(x) * np.uint64(ord("-"))
-    out[..., 1] = (v0 & c["low0"].take(e)) | ((v0 << 8) & c["high0"].take(e)) | (c["dot0"].take(e) * frac)
-    high = ((v1 << 8) | (v0 >> 56)) & c["high1"].take(e)
-    out[..., 2] = (v1 & c["low1"].take(e)) | high | (c["dot1"].take(e) * frac)
-    out[..., 3] = c["after"].take(e)
+    out[..., 0] = before | np.signbit(x) * np.uint64(ord("-"))
+    out[..., 1] = (v0 & low0) | ((v0 << 8) & high0) | (dot0 * frac)
+    high = ((v1 << 8) | (v0 >> 56)) & high1
+    out[..., 2] = (v1 & low1) | high | (dot1 * frac)
+    out[..., 3] = after
     out[..., 1] ^= zero  # "1" ^ 1 is "0"
     for i in zip(*np.nonzero(~sure)):
         text = b"%.15g" % x[i]
@@ -113,7 +120,7 @@ def _round15(a: np.ndarray, e: np.ndarray):
     """``m``, a * 10^(14-e) rounded to an integer (``e`` as table columns),
     and ``t``, the fraction rounded off plus 0.5: 0 at a tie, below 0.5
     where m rounded up.  a * hi is p + err exactly (Dekker's two-product)."""
-    hi, hh, hl, lo = (_tables()[name].take(e).view(np.float64) for name in ("hi", "hh", "hl", "lo"))
+    hi, hh, hl, lo = _tables()["floats"].take(e, axis=1).view(np.float64)
     ah = _SPLIT * a
     ah -= ah - a
     al = a - ah
@@ -133,9 +140,10 @@ def _round15(a: np.ndarray, e: np.ndarray):
     return m, t
 
 
-def _digit_lanes(m: np.ndarray, e: np.ndarray):
+def _digit_lanes(m: np.ndarray, int0: np.ndarray, int1: np.ndarray):
     """The 15 digits of ``m`` as ASCII bytes 0..14 of two uint64 lanes, the
-    trailing zeros NUL except in the integer part of a fixed form."""
+    trailing zeros NUL except in the integer part of a fixed form, whose
+    zeros ``int0`` and ``int1`` restore."""
     group3 = _tables()["group3"]
     # 5 groups of 3, exact in float64 (m < 2^53); a group has its trailing
     # zeros as NUL when every later group is zero
@@ -150,9 +158,8 @@ def _digit_lanes(m: np.ndarray, e: np.ndarray):
             (m - d3 * 1e3, True),
         )
     )
-    c = _tables()
-    v0 = g0 | (g1 << 24) | (g2 << 48) | c["int0"].take(e)
-    v1 = (g2 >> 16) | (g3 << 8) | (g4 << 32) | c["int1"].take(e)
+    v0 = g0 | (g1 << 24) | (g2 << 48) | int0
+    v1 = (g2 >> 16) | (g3 << 8) | (g4 << 32) | int1
     return v0, v1
 
 
@@ -176,38 +183,51 @@ def _pad8(n: int) -> int:
     return -(-n // 8) * 8
 
 
-def _rows(table, names) -> np.ndarray:
-    """The TSV rows at fixed offsets, NUL padded (uint8, a row per word)."""
-    L, N, y = table.letters, table.truncation, table.coeffs
-    errs = [b"%.15g" % e for e in table.error_estimates.values()]
+@bounded_cache(1 << 20)
+def _spelled(L: int, N: int, names: tuple) -> np.ndarray:
+    """The start of the rows of the words up to length ``N`` over the letter
+    ``names`` (L of them): each word, NUL padded, then a tab (uint8, a row
+    per word)."""
     letters = [name.encode() for name in names]
     slot = max(map(len, letters)) + 1  # a letter's name and its "."
     num = _pad8(N * slot + 2)  # byte of the first number, past the word and a tab
-    width = row_width(N, names, max(map(len, errs)))
-    rows = np.zeros((len(y), width), np.uint8)
+    rows = np.zeros((graded_starts(L, N)[-1], num), np.uint8)
     spell = np.zeros((L, slot), np.uint8)
     for i, b in enumerate(letters):
         spell[i, : len(b)] = np.frombuffer(b, np.uint8)
     spell[:, -1] = ord(".")
-    lo, prev = 0, None
-    for ln, err in enumerate(errs):
+    rows[0, 0] = ord("1")
+    lo, prev = 1, rows[:1]
+    for ln in range(1, N + 1):
+        # a word of length ln is a letter, its "." and a word of length
+        # ln - 1 as the previous stratum spells it; the last "." goes
         part = rows[lo : lo + L**ln]
-        if ln == 0:
-            part[0, 0] = ord("1")
-        else:
-            # a word of length ln is a letter, its "." and a word of length
-            # ln - 1 as the previous stratum spells it; the last "." goes
-            split = part.reshape(L, -1, width)
-            split[:, :, :slot] = spell[:, None]
-            split[:, :, slot : ln * slot] = prev[:, : (ln - 1) * slot]
-            part[:, ln * slot - 1] = 0
-        part[:, -1 - len(err) : -1] = np.frombuffer(err, np.uint8)
+        split = part.reshape(L, -1, num)
+        split[:, :, :slot] = spell[:, None]
+        split[:, :, slot : ln * slot] = prev[:, : (ln - 1) * slot]
+        part[:, ln * slot - 1] = 0
         lo, prev = lo + L**ln, part
+    rows[:, -1] = ord("\t")
+    return rows
+
+
+def _rows(table, names) -> np.ndarray:
+    """The TSV rows at fixed offsets, NUL padded (uint8, a row per word)."""
+    L, N, y = table.letters, table.truncation, table.coeffs
+    errs = [b"%.15g" % e for e in table.error_estimates.values()]
+    words = _spelled(L, N, tuple(names))
+    num = words.shape[1]
+    width = row_width(N, names, max(map(len, errs)))
+    rows = np.zeros((len(y), width), np.uint8)
+    rows[:, :num] = words
+    starts = graded_starts(L, N)
+    for ln, err in enumerate(errs):
+        rows[starts[ln] : starts[ln + 1], -1 - len(err) : -1] = np.frombuffer(err, np.uint8)
     lanes = rows.view(np.uint64)[:, num // 8 : num // 8 + 8].reshape(len(y), 2, 4)
     values = y.view(np.float64).reshape(len(y), 2)
     for lo in range(0, len(y), _BLOCK):
         g15(values[lo : lo + _BLOCK], lanes[lo : lo + _BLOCK])
-    for col in (num - 1, num + G15_WIDTH - 1, num + 2 * G15_WIDTH - 1):
+    for col in (num + G15_WIDTH - 1, num + 2 * G15_WIDTH - 1):
         rows[:, col] = ord("\t")
     rows[:, -1] = ord("\n")
     return rows

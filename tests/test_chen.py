@@ -481,6 +481,110 @@ def ordered_pair_report(T):
     return worst, worst_pair
 
 
+def chunked_reference_report(T):
+    """Reference for grouplike_report: the check as it read before its
+    shuffle codes were kept across calls, every block's codes built afresh
+    and summed a run of u rows at a time."""
+    from itertools import combinations
+
+    from hyperlog.words import graded_starts
+
+    N, L = T.truncation, T.letters
+    if N < 2:
+        return 0.0, None
+    starts = graded_starts(L, N)
+    val = [T.coeffs[starts[ln] : starts[ln + 1]] for ln in range(N + 1)]
+    digits = [(np.arange(L**ln)[:, None] // L ** np.arange(ln - 1, -1, -1)) % L for ln in range(N)]
+    worst, worst_pair = 0.0, None
+    for p in range(1, N // 2 + 1):
+        for q in range(p, N - p + 1):
+            subsets = list(combinations(range(p + q), p))
+            rest = [[j for j in range(p + q) if j not in s] for s in subsets]
+            place = L ** np.arange(p + q - 1, -1, -1)
+            code_u = digits[p] @ place[np.array(subsets)].T
+            code_v = digits[q] @ place[np.array(rest)].T
+            chunk = max(1, (1 << 18) // code_v.size)
+            for lo in range(0, len(code_u), chunk):
+                rhs = val[p + q][code_u[lo : lo + chunk, None, :] + code_v].sum(axis=-1)
+                defect = np.abs(val[p][lo : lo + chunk, None] * val[q] - rhs)
+                if p == q:
+                    defect = np.triu(defect, lo)
+                iu, iv = np.unravel_index(np.argmax(defect), defect.shape)
+                if defect[iu, iv] > worst:
+                    worst = float(defect[iu, iv])
+                    worst_pair = (Word(digits[p][lo + iu]), Word(digits[q][iv]))
+    return worst, worst_pair
+
+
+def seeded_table(L, N, kind, seed):
+    """A table over L letters up to length N: ``clean`` is the group-like
+    exp(a_0 x_0 + ...), <S|w> = prod a_(w_k) / |w|!; ``corrupted`` adds
+    small noise to a dozen of its words; ``random`` has random entries of
+    mixed magnitudes; ``ties`` has entries in {-1, 0, 1}, so that many
+    pairs share the largest defect exactly; ``zero`` is the unit alone."""
+    rng = np.random.default_rng(seed)
+    words = Alphabet([f"x{i}" for i in range(L)]).words_up_to(N)
+    if kind in ("clean", "corrupted"):
+        a = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+        coeffs = np.array([np.prod([a[i] for i in w]) / math.factorial(len(w)) for w in words], complex)
+        if kind == "corrupted":
+            hit = rng.choice(len(words), size=min(12, len(words)), replace=False)
+            coeffs[hit] += (rng.standard_normal(len(hit)) + 1j * rng.standard_normal(len(hit))) * 1e-3
+    elif kind == "random":
+        scale = 10.0 ** rng.uniform(-3, 3, len(words))
+        coeffs = (rng.standard_normal(len(words)) + 1j * rng.standard_normal(len(words))) * scale
+    elif kind == "ties":
+        coeffs = rng.integers(-1, 2, len(words)) + 0j
+    else:
+        coeffs = np.zeros(len(words), complex)
+    coeffs[0] = 1.0
+    return CoefficientTable(coeffs, L, 0j, 1j, N)
+
+
+class TestGrouplikeMatchesChunkedReference:
+    """The check with its shuffle codes kept across calls reports the same
+    defect, to the bit, and the same worst pair as the chunked loop."""
+
+    @pytest.mark.parametrize("kind", ["clean", "corrupted", "random", "ties", "zero"])
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_seeded_tables(self, L, kind):
+        for N in range(8):
+            for seed in range(3):
+                T = seeded_table(L, N, kind, 1000 * L + 10 * N + seed)
+                for _ in range(2):  # codes built, then kept
+                    defect, pair = grouplike_report(T)
+                    want, want_pair = chunked_reference_report(T)
+                    assert np.float64(defect).tobytes() == np.float64(want).tobytes(), (N, seed)
+                    assert pair == want_pair, (N, seed)
+                if kind == "zero":
+                    assert (defect, pair) == (0.0, None)
+
+    def test_runs_past_the_first_chunk(self):
+        # at 3 letters and N = 8 the pairs of two length-4 words come in two
+        # runs of u rows
+        for kind in ("random", "ties"):
+            T = seeded_table(3, 8, kind, 5)
+            defect, pair = grouplike_report(T)
+            want, want_pair = chunked_reference_report(T)
+            assert np.float64(defect).tobytes() == np.float64(want).tobytes()
+            assert pair == want_pair
+
+    def test_first_of_tied_pairs_wins(self):
+        # letters 1, longer words 0: every pair of letters has defect 1, and
+        # (x0, x0) comes first in the scan
+        coeffs = np.zeros(15, complex)
+        coeffs[:3] = 1.0
+        T = CoefficientTable(coeffs, 2, 0j, 1j, 3)
+        assert grouplike_report(T) == (1.0, (X0, X0))
+        # a tie across blocks: <S|x0> = 1, <S|x0.x0> = 1/2, <S|x0.x1> = 2
+        # and the rest 0 give (x0, x1) and (x0, x0.x1) the defect 2, and
+        # the block of two letters comes first
+        coeffs = np.zeros(15, complex)
+        coeffs[[0, 1, 3, 4]] = 1.0, 1.0, 0.5, 2.0
+        T = CoefficientTable(coeffs, 2, 0j, 1j, 3)
+        assert grouplike_report(T) == chunked_reference_report(T) == (2.0, (X0, X1))
+
+
 class TestGrouplike:
     @pytest.mark.parametrize("corrupt", ["none", "first-pair", "random"])
     def test_unordered_pairs_match_ordered_loop(self, corrupt):

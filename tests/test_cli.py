@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 import yaml
 
+from hyperlog import cli
+from hyperlog.cache import CACHES
 from hyperlog.chen import build_path, eval_coeffs
-from hyperlog.cli import FORM_TERM_BYTES, ProblemConfig, load_config, main
+from hyperlog.cli import FORM_TERM_BYTES, GROUPLIKE_TRIPLES, ProblemConfig, load_config, main
 from hyperlog.tsv import row_width
 from hyperlog.words import Alphabet
 
@@ -296,6 +298,44 @@ class TestConfigCache:
         first, second = load_config(str(config)), load_config(str(config))
         assert len(calls) == 1 and first is not second
         assert first.multiplier is second.multiplier
+
+
+class TestCallCaches:
+    """What eval and grouplike keep across calls (every cache in
+    hyperlog.cache.CACHES) serves no stale entry and stays within its
+    byte budget."""
+
+    def test_edited_weight_changes_the_table(self, capsys, tmp_path):
+        config = tmp_path / "config.yaml"
+        text = Path(POLYLOG).read_text()
+        config.write_text(text)
+        ev = ("--z", "0.5,0.25", "--N", "4")
+        before = run(capsys, "eval", "--config", str(config), *ev)
+        edited = text.replace('weight: "-1"', 'weight: "-2"')
+        config.write_text(edited)
+        after = run(capsys, "eval", "--config", str(config), *ev)
+        assert before[0] == after[0] == 0 and before[1] != after[1]
+        # the same text under another name is a config never seen before
+        fresh = tmp_path / "fresh.yaml"
+        fresh.write_text(edited)
+        assert run(capsys, "eval", "--config", str(fresh), *ev) == after
+        config.write_text(text)
+        assert run(capsys, "eval", "--config", str(config), *ev) == before
+
+    def test_alternating_configs_and_truncations_reuse_entries(self, capsys):
+        calls = [
+            (command, config, N)
+            for config in (POLYLOG, COUNTER)
+            for N in ("3", "5")
+            for command in ("eval", "grouplike")
+        ]
+        outputs = []
+        for _ in range(2):
+            misses = [c.misses for c in CACHES]
+            outputs.append([run(capsys, cmd, "--config", cfg, "--z", "0.5,0.25", "--N", N) for cmd, cfg, N in calls])
+        assert all(code == 0 for code, _, _ in outputs[0])
+        assert outputs[1] == outputs[0]
+        assert [c.misses for c in CACHES] == misses  # the second round built nothing
 
 
 def test_tables_build_no_word_list(capsys, monkeypatch):
@@ -644,6 +684,42 @@ class TestParsing:
         # relations checks memory only for a dependent family; a free one
         # is answered without normal forms (test_free_family_needs_no_memory)
         assert_rejected_under_2gib(argv, COUNTER if argv[0] == "relations" else POLYLOG)
+
+    @pytest.mark.parametrize(
+        "letters, N, why",
+        [(1, 23, "position sets"), (2, 17, "triples"), (3, 13, "triples"), (1, 10**9, "position sets")],
+    )
+    def test_grouplike_depth_too_large(self, capsys, tmp_path, monkeypatch, letters, N, why):
+        # refused before a table is built: the deepest accepted check takes
+        # seconds, one past it up to an hour (two letters at N = 20)
+        config = tmp_path / "letters.yaml"
+        poles = ["0", "1", "-1"][:letters]
+        config.write_text(
+            f"poles: [{', '.join(map(repr, poles))}]\nletters:\n"
+            + "".join(f"  - {{name: x{i}, pole: '{p}'}}\n" for i, p in enumerate(poles))
+            + "basepoint: '1/2*i'\n"
+        )
+
+        def refuse(*args):
+            raise AssertionError("table built")
+
+        monkeypatch.setattr(cli, "eval_coeffs", refuse)
+        code, out, err = run(capsys, "grouplike", "--config", str(config), "--z", "0.5", f"--N={N}")
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith(f"error: truncation {N} is too large for the group-like check: ")
+        assert why in err
+        if N < 100:
+            assert cli._grouplike_excess(letters, N - 1) is None
+
+    def test_grouplike_bound_counts_the_triples_read(self):
+        # the triples of the check's blocks of lengths p <= q, p + q <= N
+        for letters, N in ((2, 16), (2, 17), (3, 12), (3, 13)):
+            triples = sum(
+                letters ** (p + q) * math.comb(p + q, p)
+                for p in range(1, N // 2 + 1)
+                for q in range(p, N - p + 1)
+            )
+            assert (triples > GROUPLIKE_TRIPLES) == (cli._grouplike_excess(letters, N) is not None)
 
     def test_tsv_rows_too_large(self):
         # the deepest polylog table that fits in physical memory, whose TSV

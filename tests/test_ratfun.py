@@ -563,6 +563,35 @@ class TestTripleCores:
         assert list(shifted.principal) == list(f.principal)
         assert (f - s) + s == f
 
+    @given(kernel_operands(), st.one_of(gaussians, st.integers(-3, 3), small_fractions))
+    def test_linear_results_match_the_coefficients(self, operands, s):
+        # sum, negation, scaling and derivative against the same operations
+        # on the coefficients, built through the constructor
+        ps, f, g, _ = operands
+        c = GaussianRational.of(s)
+        short, long = sorted((f.poly, g.poly), key=len)
+        pp = dict(f.principal)
+        for ik, a in g.principal.items():
+            pp[ik] = pp[ik] + a if ik in pp else a
+        cases = [
+            (f + g, PLR(ps, [x + y for x, y in zip(short, long)] + list(long[len(short):]), pp)),
+            (-f, PLR(ps, [-a for a in f.poly], {ik: -a for ik, a in f.principal.items()})),
+            (f.scale(s), PLR(ps, [c * a for a in f.poly], {ik: c * a for ik, a in f.principal.items()})),
+            (
+                f.derivative(),
+                PLR(
+                    ps,
+                    [m * a for m, a in enumerate(f.poly)][1:],
+                    {(i, k + 1): a * -k for (i, k), a in f.principal.items()},
+                ),
+            ),
+            (f - f, PLR(ps)),
+        ]
+        for got, want in cases:
+            assert got == want and list(got.principal) == list(want.principal)
+            self.assert_triples_match_parts(got)
+        assert g + f == f + g and s * f == f.scale(s) and f - g == f + (-g)
+
     def test_immutable(self, ps):
         f = PLR(ps, (1, 2), {(0, 2): 3})
         for name in ("pole_set", "poly", "principal", "_t", "other"):
