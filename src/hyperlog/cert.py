@@ -10,7 +10,9 @@ whole decision reduces to the exact nullspace of the residue matrix.
 Every coefficient has a unique normal form <S|w> = sum_v r_(w,v) L_v over
 the hyperlogarithms L_v of the poles, which are free over the
 pole-localized field, so a constant relation is exactly a Q(i)-kernel
-vector of the coefficients of the r_(w,v).
+vector of the coefficients of the r_(w,v), and a claimed relation Q with
+pole-localized coefficients holds exactly when the normal form of its
+reduction D(Q) is zero and <Q|1> vanishes at the basepoint.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chen import PathGeometryError, build_path, eval_coeffs
-from .ncalg import Multiplier, NCPolynomial, pair, reduce as reduce_poly
+from .ncalg import Multiplier, NCPolynomial, reduce as reduce_poly
+from .ncalg import pair  # noqa: F401  (hyperbench/tracing.py wraps cert.pair)
 from .ratfun import (
     GR_ONE,
     GR_ZERO,
@@ -102,7 +105,8 @@ def residue_matrix(M: Multiplier):
 
 
 def _nullspace(rows, n_cols):
-    """Exact RREF over Q(i); returns (pivot columns, nullspace basis).
+    """Exact RREF over Q(i); returns (pivot columns, nullspace basis), each
+    basis vector sparse as {column: nonzero entry}, one per free column.
 
     Rows are kept sparse, as {column: nonzero entry}: an update touches only
     the pivot row's nonzero columns, and a row that becomes zero is dropped.
@@ -132,18 +136,14 @@ def _nullspace(rows, n_cols):
         pending = [row for row in pending if row]
         reduced.append((col, prow))
     pivots = [pc for pc, _ in reduced]
-    basis = []
     pivot_set = set(pivots)
-    for free in range(n_cols):
-        if free in pivot_set:
-            continue
-        vec = [GR_ZERO] * n_cols
-        vec[free] = GR_ONE
-        for pc, row in reduced:
-            if free in row:
-                vec[pc] = -row[free]
-        basis.append(vec)
-    return pivots, basis
+    # a reduced row holds its pivot and free columns only
+    basis = {free: {free: GR_ONE} for free in range(n_cols) if free not in pivot_set}
+    for pc, row in reduced:
+        for c, v in row.items():
+            if c != pc:
+                basis[c][pc] = -v
+    return pivots, list(basis.values())
 
 
 def certify(M: Multiplier) -> IndependenceVerdict:
@@ -159,7 +159,7 @@ def certify(M: Multiplier) -> IndependenceVerdict:
     frozen = tuple(tuple(row) for row in R)
     if not basis:
         return Independent(residue_matrix=frozen, pivots=tuple(pivots))
-    alpha = tuple(basis[0])
+    alpha = tuple(basis[0].get(c, GR_ZERO) for c in range(n_letters))
     combo = PoleLocalizedRational.zero(M.pole_set)
     for letter in M.alphabet:
         a = alpha[letter.index]
@@ -174,7 +174,8 @@ def witness_to_degree1_relation(
     verdict: Dependent, M: Multiplier, z0
 ) -> Relation:
     """Q = (f(z0) - f)·1 + sum_x alpha_x x, which pairs to zero against the
-    regular-at-z0 solution; always exactly verifiable."""
+    regular-at-z0 solution; always exactly verifiable.  D(Q) = alpha·u - d(f)
+    is zero, so :func:`verify_relation` reads only the depth-0 form."""
     if not isinstance(verdict, Dependent):
         raise ValueError("relation extraction needs a Dependent verdict")
     if verdict.witness_f.pole_set != M.pole_set:
@@ -188,8 +189,7 @@ def witness_to_degree1_relation(
         a = verdict.alpha[letter.index]
         if not a.is_zero:
             terms[Word((letter.index,))] = PoleLocalizedRational.constant(ps, a)
-    Q = NCPolynomial(terms)
-    return verify_relation(Q, M, z0, rational_coefficient_table(M, z0, 0))
+    return verify_relation(NCPolynomial(terms), M, z0)
 
 
 def rational_coefficient_table(M: Multiplier, z0, N: int) -> RationalCoefficientTable:
@@ -288,34 +288,24 @@ def normal_form_table(M: Multiplier, z0, N: int) -> dict:
     return forms
 
 
-def verify_relation(
-    Q: NCPolynomial,
-    M: Multiplier,
-    z0,
-    table: RationalCoefficientTable,
-) -> Relation:
+def verify_relation(Q: NCPolynomial, M: Multiplier, z0) -> Relation:
     """Decide pair(S, Q) = 0 exactly; returns Q as an ``EXACT`` Relation
     when it holds and an ``INCONCLUSIVE`` one when it does not.
 
-    d<S|Q> = <S|D(Q)>, so when every word of supp(D(Q)) has an entry in
-    ``table``, Q is a relation iff <S|D(Q)> is identically zero and <S|Q>
-    vanishes at z0.  Otherwise Q is a relation iff sum_w <Q|w> <S|w> is the
-    zero normal form (:func:`normal_form_table`).
+    S is 1 at z0 and d<S|Q> = <S|D(Q)> for D = ``reduce_poly(Q, M)`` (Chen),
+    so Q is a relation iff <Q|1> vanishes at z0 and sum_w <D|w> <S|w> is
+    the zero normal form (:func:`normal_form_table` to the degree of D).
+    The reduction only differentiates, where the form of Q itself would
+    integrate every letter once more.
     """
     z0 = GaussianRational.of(z0)
     D = reduce_poly(Q, M)
-    if all(w in table.entries for w in D.terms):
-        value = pair(table.entries, D)
-        if isinstance(value, int):
-            value = PoleLocalizedRational.constant(M.pole_set, value)
-        const = Q.coeff(Word(), None)
-        const_ok = const is None or const.evaluate_exact(z0).is_zero
-        if value.is_zero and const_ok:
-            return Relation(Q, RelationStatus.EXACT)
+    forms = normal_form_table(M, z0, 0 if D.is_zero else D.degree())
+    const = Q.coeff(Word(), None)
+    if const is not None and not const.evaluate_exact(z0).is_zero:
         return Relation(Q, RelationStatus.INCONCLUSIVE)
-    forms = normal_form_table(M, z0, Q.degree())
     total = {}
-    for w, c in Q.terms.items():
+    for w, c in D.terms.items():
         for v, r in forms[w].items():
             _add(total, v, c * r)
     return Relation(Q, RelationStatus.INCONCLUSIVE if any(total.values()) else RelationStatus.EXACT)
@@ -439,13 +429,16 @@ def discover_relations(
     if not basis:
         return []
     A, _ = sample_matrix(M, z0, N, FRESH_SAMPLES, eval_tol=eval_tol, margin=margin, seed=seed + 1)
-    kernel = np.array([[complex(a) if a else 0j for a in alpha] for alpha in basis])
+    kernel = np.zeros((len(basis), len(word_list)), dtype=complex)
+    for k, alpha in enumerate(basis):
+        for col, a in alpha.items():
+            kernel[k, col] = complex(a)
     defects = np.abs(A @ kernel.T).max(axis=0)
     ps = M.pole_set
     relations = []
     for alpha, defect in zip(basis, defects.tolist()):
         Q = NCPolynomial(
-            {w: PoleLocalizedRational.constant(ps, a) for w, a in zip(word_list, alpha) if a}
+            {word_list[c]: PoleLocalizedRational.constant(ps, a) for c, a in sorted(alpha.items())}
         )
         relations.append(Relation(Q, RelationStatus.EXACT, defect))
     relations.sort(key=lambda rel: sorted(rel.poly.terms))

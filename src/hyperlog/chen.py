@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain, combinations
-from math import comb, log, sqrt
+from math import comb, isnan, log, sqrt
 
 import numpy as np
 
@@ -616,7 +616,8 @@ def grouplike_report(T: CoefficientTable):
 
     The defect is symmetric in u and v, so each unordered pair is checked
     once and reported with u first in graded lex order; of equal defects,
-    the first in the scan wins (by |u|, then |v|, then u, then v).  u
+    the first in the scan wins (by |u|, then |v|, then u, then v).  A NaN
+    defect is the worst: the first one in the scan is reported.  u
     shuffle v sums the words carrying u on |u| of their positions and v on
     the rest (Reutenauer, Free Lie Algebras); with words numbered in base
     L, their numbers are sums of a term for u and one for v per position
@@ -644,13 +645,19 @@ def grouplike_report(T: CoefficientTable):
                 defect = np.abs(val[p][lo : lo + chunk, None] * val[q] - rhs)
                 if p == q:  # only v at or after u
                     defect = np.where(upper, defect, 0.0) if lo == 0 else np.triu(defect, lo)
-                iu, iv = divmod(int(defect.argmax()), defect.shape[1])
-                if defect[iu, iv] > worst:
-                    worst, at = float(defect[iu, iv]), (p, q, lo + iu, iv)
-    if at is None:
-        return worst, None
+                iu, iv = divmod(int(defect.argmax()), defect.shape[1])  # first NaN, if any
+                d = float(defect[iu, iv])
+                if isnan(d):
+                    return d, _pair((p, q, lo + iu, iv), L)
+                if d > worst:
+                    worst, at = d, (p, q, lo + iu, iv)
+    return worst, None if at is None else _pair(at, L)
+
+
+def _pair(at, L: int):
+    """The words (u, v) at (|u|, |v|, number of u, number of v)."""
     p, q, u, v = at
-    return worst, (_word(u, L, p), _word(v, L, q))
+    return _word(u, L, p), _word(v, L, q)
 
 
 def _word(code: int, L: int, n: int) -> Word:

@@ -316,8 +316,24 @@ def _parse_words(args, texts):
         raise ConfigError(str(exc)) from None
 
 
+# u shuffle v has at most C(|u|+|v|, |u|) words, all distinct when no letter
+# repeats: at C(20, 10) = 184756 the command took 1.5 s and 216 MB on a 2-core
+# VM, and two alternating words of length 30 would print about 1e9 lines.
+SHUFFLE_INTERLEAVINGS = 1 << 18
+
+
 def _cmd_shuffle(args) -> int:
     alphabet, (u, v) = _parse_words(args, [args.u, args.v])
+    # C(|u|+|v|, i) grows up to i = min(|u|, |v|), so stop once past the bound:
+    # math.comb took 17 s on two words of 700000 letters
+    n, count = len(u) + len(v), 1
+    for i in range(1, min(len(u), len(v)) + 1):
+        count = count * (n - i + 1) // i
+        if count > SHUFFLE_INTERLEAVINGS:
+            raise ConfigError(
+                f"words of lengths {len(u)} and {len(v)} have more than "
+                f"{SHUFFLE_INTERLEAVINGS} interleavings"
+            )
     product = shuffle_product(NCPolynomial.monomial(u), NCPolynomial.monomial(v))
     lines = [
         f"{product.terms[w]} * {alphabet.format_word(w)}" for w in product.support()

@@ -13,6 +13,7 @@ from hyperlog import (
     NCPolynomial,
     PoleLocalizedRational,
     PoleSet,
+    PoleSetMismatchError,
     RelationStatus,
     Word,
     certify,
@@ -20,6 +21,7 @@ from hyperlog import (
     format_plr,
     numeric_relation_defect,
     normal_form_table,
+    pair,
     parse_gaussian,
     rational_coefficient_table,
     reduce,
@@ -338,23 +340,20 @@ class TestNormalFormTable:
 class TestVerifyRelation:
     def test_true_relation_exact(self, counterexample_multiplier, poles01):
         M = counterexample_multiplier
-        tab = rational_coefficient_table(M, -1, 2)
         Q = expected_counterexample_relation(poles01, Fraction(-1))
-        out = verify_relation(Q, M, -1, tab)
+        out = verify_relation(Q, M, -1)
         assert out.status is RelationStatus.EXACT
 
     def test_non_relation_rejected(self, counterexample_multiplier):
         M = counterexample_multiplier
-        tab = rational_coefficient_table(M, -1, 2)
         Q = NCPolynomial({X0: PLR.one(M.pole_set)})
-        out = verify_relation(Q, M, -1, tab)
+        out = verify_relation(Q, M, -1)
         assert out.status is RelationStatus.INCONCLUSIVE
 
     def test_constant_rejected(self, counterexample_multiplier):
         M = counterexample_multiplier
-        tab = rational_coefficient_table(M, -1, 2)
         Q = NCPolynomial({E: PLR.constant(M.pole_set, 5)})
-        out = verify_relation(Q, M, -1, tab)
+        out = verify_relation(Q, M, -1)
         assert out.status is RelationStatus.INCONCLUSIVE
 
     def test_blocked_words_decided_by_the_form(self, counterexample_multiplier, poles01):
@@ -365,12 +364,114 @@ class TestVerifyRelation:
         Q3 = shuffle_product(R2, NCPolynomial({X0: PLR.one(poles01)}))
         tab = rational_coefficient_table(M, -1, 3)
         assert not all(w in tab.entries for w in reduce(Q3, M).terms)
-        out = verify_relation(Q3, M, -1, tab)
+        out = verify_relation(Q3, M, -1)
         assert out.status is RelationStatus.EXACT
         assert out.defect is None
         # one more word is no longer a relation, which the form shows exactly
-        out = verify_relation(Q3 + NCPolynomial({Word((0, 1, 0)): PLR.one(poles01)}), M, -1, tab)
+        out = verify_relation(Q3 + NCPolynomial({Word((0, 1, 0)): PLR.one(poles01)}), M, -1)
         assert out.status is RelationStatus.INCONCLUSIVE
+
+
+def table_decision(Q, M, z0, tab):
+    """Reference for verify_relation where supp D(Q) lies in the exact
+    entries of ``tab``: <S|D(Q)> read off the entries, and <Q|1> at z0;
+    None where D(Q) reaches a word the table lacks."""
+    D = reduce(Q, M)
+    if not D.terms.keys() <= tab.entries.keys():
+        return None
+    const = Q.coeff(E, None)
+    holds = not pair(tab.entries, D) and (const is None or not const.evaluate_exact(z0))
+    return RelationStatus.EXACT if holds else RelationStatus.INCONCLUSIVE
+
+
+class TestVerifyRelationAgainstTable:
+    """verify_relation decides on the normal form of D(Q) alone; where D(Q)
+    stays in a rational table's entries, pairing against them decides too."""
+
+    @staticmethod
+    def dependent_tasks(monkeypatch, seed, n_tasks):
+        exact = load_workloads(monkeypatch).Exact(str(HYPERBENCH.parent), None)
+        cycles = exact.cycles(seed)
+        for _ in range(n_tasks):
+            (task,) = next(cycles)
+            M, z0, _, _ = exact.prepare(task)
+            verdict = certify(M)
+            if not verdict.is_independent:
+                yield M, z0, verdict
+
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_witness_relations(self, monkeypatch, seed):
+        # the witness relation, and it plus 1 or plus x0, which are not relations
+        count = 0
+        for M, z0, verdict in self.dependent_tasks(monkeypatch, seed, 200):
+            rel = witness_to_degree1_relation(verdict, M, z0)
+            tab = rational_coefficient_table(M, z0, 1)
+            one = PLR.one(M.pole_set)
+            for Q, want in (
+                (rel.poly, RelationStatus.EXACT),
+                (rel.poly + NCPolynomial({E: one}), RelationStatus.INCONCLUSIVE),
+                (rel.poly + NCPolynomial({X0: one}), RelationStatus.INCONCLUSIVE),
+            ):
+                assert table_decision(Q, M, z0, tab) is want
+                assert verify_relation(Q, M, z0).status is want
+            count += 1
+        assert count > 100
+
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_random_polynomials_of_degree_three(self, monkeypatch, seed):
+        # true relations R shuffle P, and them plus a random Q on two entries
+        # (D(Q) stays in the entries, which are closed under suffixes), each
+        # of degree <= 3; compared where D stays in the depth-3 table
+        rng = random.Random(seed)
+        decided = {RelationStatus.EXACT: 0, RelationStatus.INCONCLUSIVE: 0}
+        for M, z0, verdict in self.dependent_tasks(monkeypatch, seed, 120):
+            ps = M.pole_set
+            tab = rational_coefficient_table(M, z0, 3)
+            R = witness_to_degree1_relation(verdict, M, z0).poly
+            P = NCPolynomial({w: PLR.constant(ps, random_gaussian(rng))
+                              for w in rng.sample(M.alphabet.words_up_to(2), 2)})
+            entries = sorted(tab.entries)
+            noise_words = rng.sample(entries, min(2, len(entries)))
+            noise = NCPolynomial({w: random_plr(rng, ps) for w in noise_words})
+            for Q in (shuffle_product(R, P), shuffle_product(R, P) + noise, noise):
+                want = table_decision(Q, M, z0, tab)
+                if want is not None:
+                    assert verify_relation(Q, M, z0).status is want
+                    decided[want] += 1
+        assert min(decided.values()) >= 10, decided
+
+    def test_free_family_words_are_not_relations(self, polylog_multiplier):
+        # polylog is free, so no word is a relation; for |w| >= 2 the form
+        # of D(w) = u_(w_1) (w_2...) has no rational part, only hyperlogarithms
+        M = polylog_multiplier
+        for w in M.alphabet.words_up_to(3):
+            if w:
+                out = verify_relation(NCPolynomial({w: PLR.one(M.pole_set)}), M, "1/2")
+                assert out.status is RelationStatus.INCONCLUSIVE, w
+
+    def test_zero_polynomial_is_exact(self, counterexample_multiplier):
+        out = verify_relation(NCPolynomial(), counterexample_multiplier, -1)
+        assert out.status is RelationStatus.EXACT
+
+    def test_rejects_foreign_coefficients(self, counterexample_multiplier):
+        M = counterexample_multiplier
+        with pytest.raises(PoleSetMismatchError):
+            verify_relation(NCPolynomial({X0: PLR.one(PoleSet(["0", "2"]))}), M, -1)
+        with pytest.raises(TypeError):
+            verify_relation(NCPolynomial({X0: GaussianRational(1)}), M, -1)
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_discovered_relations(self, counterexample_multiplier, N):
+        # every relation found verifies; one more word breaks it, since no
+        # <S|w> with w nonempty vanishes on the counterexample
+        M = counterexample_multiplier
+        rels = discover_relations(M, -1, N)
+        assert len(rels) == {2: 1, 3: 5, 4: 16}[N]
+        for rel in rels:
+            assert verify_relation(rel.poly, M, -1).status is RelationStatus.EXACT
+            extra = next(w for w in M.alphabet.words_up_to(N) if w and w not in rel.poly.terms)
+            Q = rel.poly + NCPolynomial({extra: PLR.one(M.pole_set)})
+            assert verify_relation(Q, M, -1).status is RelationStatus.INCONCLUSIVE
 
 
 class TestDiscoverRelations:

@@ -630,6 +630,30 @@ class TestGrouplike:
         assert pairw == (u, u)
         assert abs(defect - want) <= 1e-12 * want
 
+    @pytest.mark.parametrize(
+        "nans, bump, want_pair",
+        [
+            ([(0, 1)], None, (X0, X1)),  # x0 shuffle x1 holds x0x1
+            ([(1, 1, 1)], (0, 0), (X1, Word((1, 1)))),  # an earlier finite defect loses
+            ([(0, 1)], (1, 1, 1), (X0, X1)),  # so does a later, larger one
+            ([(1, 1, 1), (0, 1)], None, (X0, X1)),  # of two NaNs, the first in the scan
+        ],
+    )
+    def test_nan_defect_is_the_worst(self, polylog_multiplier, nans, bump, want_pair):
+        # a NaN must not read as a clean table: `grouplike` exits 11 unless
+        # defect < 10 tol, which is false for a NaN
+        path = build_path(-1, 0.5 + 0.8j, [0j, 1 + 0j], 0.05)
+        T = eval_coeffs(polylog_multiplier, path, 3, 1e-12)
+        clean = grouplike_report(T)  # a clean table reads as the chunked reference does
+        assert clean == chunked_reference_report(T) and clean[0] < 1e-9
+        for w in nans:
+            T.values[Word(w)] = complex("nan")
+        if bump is not None:
+            T.values[Word(bump)] += 100.0
+        defect, pairw = grouplike_report(T)
+        assert math.isnan(defect) and pairw == want_pair
+        assert not defect < 10 * 1e-12
+
     def test_missing_word_raises(self, polylog_multiplier):
         # x1 and x1.x1 stay, but x1.x1.x1, in x1 shuffle x1.x1, is gone
         path = build_path(-1, 0.5 + 0.8j, [0j, 1 + 0j], 0.05)

@@ -711,6 +711,24 @@ class TestParsing:
         if N < 100:
             assert cli._grouplike_excess(letters, N - 1) is None
 
+    @pytest.mark.parametrize("n, refused", [(10, False), (11, True), (30, True), (10**5, True)])
+    def test_shuffle_too_large(self, capsys, monkeypatch, n, refused):
+        # x0.x1... shuffle x1.x0..., both of length n, has 2^n words out of
+        # C(2n, n) interleavings; n = 10 is the longest accepted
+        if refused:
+            def refuse(*args):
+                raise AssertionError("shuffle computed")
+
+            monkeypatch.setattr(cli, "shuffle_product", refuse)
+        u, v = (".".join(["x0", "x1"][(k + s) % 2] for k in range(n)) for s in (0, 1))
+        code, out, err = run(capsys, "shuffle", u, v)
+        if refused:
+            assert (code, out) == (2, "")
+            want = f"words of lengths {n} and {n} have more than {cli.SHUFFLE_INTERLEAVINGS} interleavings"
+            assert err == f"error: {want}\n"
+        else:
+            assert code == 0 and len(out.splitlines()) == 2**n
+
     def test_grouplike_bound_counts_the_triples_read(self):
         # the triples of the check's blocks of lengths p <= q, p + q <= N
         for letters, N in ((2, 16), (2, 17), (3, 12), (3, 13)):
